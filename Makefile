@@ -20,10 +20,10 @@ bench:
 
 # CI-sized exercise of the multiprocess selection paths.  The parallel
 # markers are normally skipped on constrained hosts, so this forces them on
-# (2-CPU runners included): the full parallel equivalence suites — per-call
-# sharding, persistent pools, entity fan-out, CLI flags — plus one tiny
-# persistent-pool benchmark scenario, keeping the fork paths exercised
-# outside manual multi-core runs.
+# (2-CPU runners included): the full parallel equivalence suites — one-shot
+# and multi-round session pools, pools shared across engines, entity
+# fan-out, CLI flags — plus one tiny session-pool benchmark scenario,
+# keeping the fork paths exercised outside manual multi-core runs.
 bench-smoke:
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "parallel and not slow" \
 		tests/core/selection/test_parallel.py \
@@ -33,7 +33,7 @@ bench-smoke:
 		tests/service/test_shared_pool.py \
 		tests/test_cli.py
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "parallel and not slow" \
-		benchmarks/bench_selection_hotpath.py -k persistent_pool_smoke
+		benchmarks/bench_selection_hotpath.py -k session_pool_smoke
 
 # CI-sized exercise of the kernel ladder and the packed wide-fact
 # representation: unit + property suites for the bit planes and the kernel

@@ -8,7 +8,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.1.0",
+    version="2.0.0",
     description=(
         "CrowdFusion: a crowdsourced approach on data fusion refinement "
         "(ICDE 2017) — full reproduction"

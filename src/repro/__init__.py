@@ -65,7 +65,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # value types

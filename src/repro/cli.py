@@ -116,20 +116,14 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="shard candidate scans over N worker processes (greedy-family "
-        "selectors; default: no parallelism)",
+        help="shard candidate scans over one pool of N worker processes "
+        "shared by every entity (greedy-family selectors; default: no "
+        "parallelism)",
     )
     parser.add_argument(
         "--parallel-threshold", type=_nonnegative_int, default=None, metavar="WORK",
         help="minimum scan size (candidates x support rows) before the worker "
         "pool is used; smaller scans always run serially",
-    )
-    parser.add_argument(
-        "--persistent-pool", action="store_true",
-        help="keep one worker pool alive per entity for the whole run "
-        "(posteriors travel through a shared-memory snapshot ring instead of "
-        "re-forking after every merge); requires --workers and a platform "
-        "with the fork start method",
     )
     parser.add_argument(
         "--parallel-entities", type=_positive_int, default=None, metavar="N",
@@ -238,7 +232,6 @@ def _sweep_setup(args: argparse.Namespace):
         runtime=RuntimeOptions(
             workers=args.workers,
             parallel_threshold=args.parallel_threshold,
-            persistent_pool=args.persistent_pool,
             recalibrate=args.recalibrate,
             parallel_entities=args.parallel_entities,
             kernel=args.kernel,
@@ -329,8 +322,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     extras = ""
     if args.workers is not None:
         extras += f", workers {args.workers}"
-        if args.persistent_pool:
-            extras += " (persistent pool)"
     if args.parallel_entities is not None:
         extras += f", {args.parallel_entities} entity workers"
     if args.recalibrate:

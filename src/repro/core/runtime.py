@@ -1,30 +1,29 @@
 """Typed runtime configuration shared by every execution layer.
 
-Before this module existed, five loose keywords — ``workers``,
-``parallel_threshold``, ``persistent_pool``, ``recalibrate`` and
-``parallel_entities`` — were duplicated (with slightly different names and
-validation) across :class:`~repro.core.engine.CrowdFusionEngine`,
+:class:`RuntimeOptions` is the single typed carrier for every execution knob
+of :class:`~repro.core.engine.CrowdFusionEngine`,
 :class:`~repro.evaluation.experiment.ExperimentConfig`,
-:class:`~repro.core.selection.session.RefinementSession` and the CLI.
-:class:`RuntimeOptions` is the single typed carrier for all of them: build it
-once, pass it to any layer, and every layer derives the same
+:class:`~repro.core.selection.session.RefinementSession` and the CLI: build
+it once, pass it to any layer, and every layer derives the same
 :class:`~repro.core.selection.parallel.ParallelPolicy` and the same validity
-rules from it.  The old keywords keep working for one release and raise a
-:class:`DeprecationWarning` pointing here.
+rules from it.
 
 The fields mean the same thing everywhere:
 
 ``workers``
     Worker processes for parallel candidate scans (``None`` disables
-    process-level parallelism; selectors then never fork).
+    process-level parallelism; nothing ever forks for a scan).  A session
+    given these options owns one worker pool that survives every Bayesian
+    merge (posteriors travel through a shared-memory snapshot ring); an
+    experiment shares one pool across all of its entities.
 ``parallel_threshold``
     Auto-serial threshold (candidates × support rows) below which a
     configured parallel scan still runs in process (``None`` = library
     default).
 ``persistent_pool``
-    Sessions own one long-lived worker pool surviving every Bayesian merge
-    (posteriors travel through the shared-memory snapshot ring) instead of a
-    per-call pool being re-forked per selection.
+    Accepted and ignored: every worker pool persists across merges, so the
+    flag no longer selects anything.  Kept so existing callers still
+    construct.
 ``recalibrate``
     Sessions re-estimate per-fact channel accuracies from answer/posterior
     agreement as rounds accumulate.
@@ -106,23 +105,16 @@ class RuntimeOptions:
                 f"parallel_entities must be a positive integer, got "
                 f"{self.parallel_entities}"
             )
-        if self.persistent_pool and self.workers is None:
-            raise CrowdFusionError(
-                "persistent_pool requires workers: set workers (--workers) to "
-                "the pool size the persistent runtime should keep alive"
-            )
         if self.parallel_entities is not None and self.workers is not None:
             raise CrowdFusionError(
                 "parallel_entities and workers are mutually exclusive: entity "
                 "fan-out workers are daemonic and cannot fork nested candidate-"
                 "scan pools; pick one parallelism axis"
             )
-        if (self.persistent_pool or self.parallel_entities is not None) and (
-            not fork_available()
-        ):
+        if self.parallel_entities is not None and not fork_available():
             raise CrowdFusionError(
-                "persistent worker pools and entity fan-out need the 'fork' "
-                "start method, which this platform does not provide"
+                "entity fan-out needs the 'fork' start method, which this "
+                "platform does not provide"
             )
 
     @property
@@ -144,18 +136,6 @@ class RuntimeOptions:
                 else None
             ),
         )
-
-    @property
-    def session_policy(self) -> Optional[ParallelPolicy]:
-        """The policy a :class:`RefinementSession` should *own*.
-
-        A session-owned evaluator is persistent by construction (it survives
-        the session's merges), so sessions engage the worker pool only when
-        ``persistent_pool`` is set; with ``persistent_pool=False`` the policy
-        belongs to the selector layer (one pool per selection call) and the
-        session stays serial.
-        """
-        return self.parallel_policy if self.persistent_pool else None
 
     @property
     def parallel(self) -> bool:

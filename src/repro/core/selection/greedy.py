@@ -36,11 +36,7 @@ from repro.core.selection.base import (
     TaskSelector,
 )
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import (
-    ParallelEvaluator,
-    ParallelPolicy,
-    ParallelSelectorMixin,
-)
+from repro.core.selection.parallel import ParallelSelectorMixin, PooledEvaluator
 from repro.core.utility import crowd_entropy
 
 #: Gains smaller than this are treated as zero ("no benefit from one more task").
@@ -52,7 +48,7 @@ def run_greedy_on_engine(
     k: int,
     candidates: Sequence[str],
     use_pruning: bool = False,
-    evaluator: Optional[ParallelEvaluator] = None,
+    evaluator: Optional[PooledEvaluator] = None,
 ) -> SelectionResult:
     """One run of Algorithm 1 on a (possibly warm) engine, optionally with pruning.
 
@@ -65,7 +61,7 @@ def run_greedy_on_engine(
     task" detect certainty (Theorem 2: the net gain is positive exactly while
     an uncertain fact remains).
 
-    When a :class:`ParallelEvaluator` is supplied, each iteration's candidate
+    When a :class:`PooledEvaluator` is supplied, each iteration's candidate
     entropies may be computed by its worker pool (the evaluator's policy
     decides per scan; small scans stay in process).  The ranking below runs
     over one entropy per candidate *in candidate order* either way, so the
@@ -159,16 +155,10 @@ def run_engine_greedy(
 class GreedySelector(ParallelSelectorMixin, TaskSelector):
     """Algorithm 1: iterative greedy selection maximising ``H(T)``.
 
-    Parameters
-    ----------
-    parallel:
-        Optional :class:`~repro.core.selection.parallel.ParallelPolicy`.
-        When set, each iteration's candidate scan may be sharded across a
-        fork-shared worker pool; the policy's auto-serial threshold keeps
-        small rounds in process.  Selections are bit-for-bit identical to
-        the serial path either way.  Selections against a
-        :class:`~repro.core.selection.session.RefinementSession` that owns a
-        persistent evaluator use the session's long-lived pool instead.
+    Selections against a refinement session that has a worker pool shard
+    each iteration's candidate scan across it (the pool policy's auto-serial
+    threshold keeps small rounds in process); selections are bit-for-bit
+    identical to the serial path either way.
     """
 
     name = "greedy"
@@ -181,7 +171,7 @@ class GreedySelector(ParallelSelectorMixin, TaskSelector):
         engine: EntropyEngine,
         k: int,
         candidates: Sequence[str],
-        evaluator: Optional[ParallelEvaluator],
+        evaluator: Optional[PooledEvaluator],
     ) -> SelectionResult:
         return run_greedy_on_engine(
             engine, k, candidates, use_pruning=self.use_pruning, evaluator=evaluator
@@ -194,15 +184,4 @@ class GreedySelector(ParallelSelectorMixin, TaskSelector):
         k: int,
         candidates: Sequence[str],
     ) -> SelectionResult:
-        return self._scan(
-            EntropyEngine(distribution, crowd), k, candidates, self._runner
-        )
-
-    def _select_with_session(self, session, k, candidates) -> SelectionResult:
-        return self._scan(
-            session.engine,
-            k,
-            candidates,
-            self._runner,
-            shared_evaluator=session.shared_evaluator(),
-        )
+        return self._runner(EntropyEngine(distribution, crowd), k, candidates, None)

@@ -15,6 +15,10 @@ entities' candidate sets are scored against shared cached state (warm bit
 columns and partitions) in every global pass instead of rebuilding one
 selection engine per entity per pass.  Curve points come straight from the
 sessions' cached arrays — no per-pass distribution materialisation at all.
+With ``RuntimeOptions.workers`` set, every entity's session attaches to one
+shared :class:`~repro.core.selection.parallel.EvaluatorPool`, so the whole
+experiment keeps at most ``workers`` scan processes alive and forks them
+once.
 
 The crowd may be modelled at three fidelities (``ExperimentConfig.crowd_model``):
 
@@ -29,6 +33,7 @@ The crowd may be modelled at three fidelities (``ExperimentConfig.crowd_model``)
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import warnings
 from dataclasses import dataclass, field
@@ -44,7 +49,11 @@ from repro.core.distribution import JointDistribution
 from repro.core.facts import FactSet
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import TaskSelector, get_selector
-from repro.core.selection.parallel import ParallelPolicy, fork_available
+from repro.core.selection.parallel import (
+    EvaluatorPool,
+    ParallelPolicy,
+    ParallelSelectorMixin,
+)
 from repro.core.selection.session import RefinementSession, SessionPool
 from repro.correlation.builder import JointDistributionBuilder
 from repro.correlation.rules import CorrelationRule
@@ -193,49 +202,20 @@ class ExperimentConfig:
         How many times each calibration sample task is asked.
     runtime:
         Typed :class:`~repro.core.runtime.RuntimeOptions` carrying every
-        execution knob (workers, parallel_threshold, persistent_pool,
-        recalibrate, parallel_entities) in one validated object.  This is the
-        supported way to configure the runtime; the five loose fields below
-        keep working for one release with a :class:`DeprecationWarning` and
-        may not be combined with ``runtime``.
-    recalibrate_channels:
-        Deprecated — use ``runtime=RuntimeOptions(recalibrate=True)``.
-        Adaptive re-calibration: every entity's session re-estimates per-fact
-        channel accuracies from answer/posterior agreement as rounds
-        accumulate, on top of whichever ``crowd_model`` fidelity it started
-        from.
-    workers:
-        Deprecated — use ``runtime=RuntimeOptions(workers=...)``.
-        Worker processes for parallel candidate scans (``None`` disables
-        parallelism entirely; selectors then never fork).  Only selectors of
-        the greedy family honour it.
-    parallel_threshold:
-        Deprecated — use ``runtime=RuntimeOptions(parallel_threshold=...)``.
-        Auto-serial threshold (candidates × support rows) below which a
-        configured parallel scan still runs in process; ``None`` uses the
-        library default.
-    persistent_pool:
-        Deprecated — use ``runtime=RuntimeOptions(workers=...,
-        persistent_pool=True)``.
-        When true (requires ``workers``), every entity's session owns one
-        persistent worker pool surviving the whole run — reweighted
-        posteriors are shipped to the already-forked workers through a
-        shared-memory snapshot ring — instead of re-forking a pool per
-        selection call.  Needs the ``fork`` start method.  Note the
-        residency cost: pools are per entity (up to ``workers × entities``
-        processes if every entity's scans clear the threshold), forked
-        lazily and released as soon as an entity's budget is exhausted; on
-        many-entity corpora keep ``workers`` moderate, or use
-        ``parallel_entities`` instead.
-    parallel_entities:
-        Deprecated — use ``runtime=RuntimeOptions(parallel_entities=...)``.
-        Fan whole entities out across a process pool of this size: each
-        worker runs one entity's complete refinement trajectory (per-entity
-        RNG streams make that deterministic) and the lock-step curve is
-        reassembled from the per-round records, with points identical to the
-        serial loop's.  Mutually exclusive with ``workers`` — inside the
-        fan-out workers candidate scans stay serial (pool workers are
-        daemonic and cannot fork grandchildren).  Needs ``fork``.
+        execution knob in one validated object (``None`` means the serial
+        defaults):
+
+        * ``recalibrate`` — every entity's session re-estimates per-fact
+          channel accuracies from answer/posterior agreement as rounds
+          accumulate, on top of whichever ``crowd_model`` fidelity it
+          started from;
+        * ``workers`` / ``parallel_threshold`` — candidate scans of the
+          greedy family shard across one worker pool shared by every entity
+          (at most ``workers`` processes alive for the whole run);
+        * ``parallel_entities`` — whole entity trajectories fan out across a
+          process pool of this size, and the lock-step curve is reassembled
+          with points identical to the serial loop's (mutually exclusive
+          with ``workers``).
     """
 
     selector: str = "greedy_prune_pre"
@@ -249,72 +229,7 @@ class ExperimentConfig:
     crowd_model: str = "uniform"
     calibration_facts: int = 5
     calibration_repetitions: int = 3
-    recalibrate_channels: bool = False
-    workers: Optional[int] = None
-    parallel_threshold: Optional[int] = None
-    persistent_pool: bool = False
-    parallel_entities: Optional[int] = None
     runtime: Optional[RuntimeOptions] = None
-
-    #: ``(field name, default)`` pairs of the deprecated loose runtime fields.
-    _LEGACY_RUNTIME_FIELDS = (
-        ("recalibrate_channels", False),
-        ("workers", None),
-        ("parallel_threshold", None),
-        ("persistent_pool", False),
-        ("parallel_entities", None),
-    )
-
-    def __post_init__(self) -> None:
-        legacy = [
-            name
-            for name, default in self._LEGACY_RUNTIME_FIELDS
-            if getattr(self, name) != default
-        ]
-        if legacy:
-            if self.runtime is not None:
-                raise CrowdFusionError(
-                    "ExperimentConfig received both runtime= and the deprecated "
-                    f"field(s) {', '.join(legacy)}; configure everything on "
-                    "RuntimeOptions"
-                )
-            warnings.warn(
-                f"ExperimentConfig({', '.join(legacy)}=...) is deprecated; "
-                "pass runtime=RuntimeOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if self.workers is not None and self.workers < 1:
-            raise CrowdFusionError(
-                f"workers must be a positive integer, got {self.workers}"
-            )
-        if self.parallel_threshold is not None and self.parallel_threshold < 0:
-            raise CrowdFusionError(
-                f"parallel_threshold must be non-negative, got {self.parallel_threshold}"
-            )
-        if self.parallel_entities is not None and self.parallel_entities < 1:
-            raise CrowdFusionError(
-                f"parallel_entities must be a positive integer, got "
-                f"{self.parallel_entities}"
-            )
-        if self.persistent_pool and self.workers is None:
-            raise CrowdFusionError(
-                "persistent_pool requires workers: set workers (--workers) to "
-                "the pool size the persistent runtime should keep alive"
-            )
-        if self.parallel_entities is not None and self.workers is not None:
-            raise CrowdFusionError(
-                "parallel_entities and workers are mutually exclusive: entity "
-                "fan-out workers are daemonic and cannot fork nested candidate-"
-                "scan pools; pick one parallelism axis"
-            )
-        if (self.persistent_pool or self.parallel_entities is not None) and (
-            not fork_available()
-        ):
-            raise CrowdFusionError(
-                "persistent worker pools and entity fan-out need the 'fork' "
-                "start method, which this platform does not provide"
-            )
 
     @property
     def model_accuracy(self) -> float:
@@ -327,22 +242,8 @@ class ExperimentConfig:
 
     @property
     def runtime_options(self) -> RuntimeOptions:
-        """The effective typed runtime configuration.
-
-        Either the ``runtime`` object as passed, or one synthesised from the
-        deprecated loose fields — so internal code reads one source of truth
-        regardless of which spelling the caller used.  (The ``runtime`` field
-        itself is stored verbatim to keep ``dataclasses.replace`` symmetric.)
-        """
-        if self.runtime is not None:
-            return self.runtime
-        return RuntimeOptions(
-            workers=self.workers,
-            parallel_threshold=self.parallel_threshold,
-            persistent_pool=self.persistent_pool,
-            recalibrate=self.recalibrate_channels,
-            parallel_entities=self.parallel_entities,
-        )
+        """The effective runtime configuration (the serial defaults if unset)."""
+        return self.runtime if self.runtime is not None else RuntimeOptions()
 
     @property
     def parallel_policy(self) -> Optional[ParallelPolicy]:
@@ -509,7 +410,10 @@ def run_quality_experiment(
     recorded after each global pass — matching how the paper accumulates cost
     over the whole book collection.  All entities refine through one
     :class:`SessionPool`, so each global pass scores candidate sets against
-    the cached per-entity engines instead of rebuilding them.
+    the cached per-entity engines instead of rebuilding them.  With
+    ``workers`` configured, all sessions attach to one shared
+    :class:`EvaluatorPool`, created for this call and closed before it
+    returns.
 
     ``budgets`` optionally overrides the per-entity budget (keyed by entity
     id); entities not listed fall back to ``config.budget_per_entity``.  This
@@ -524,34 +428,32 @@ def run_quality_experiment(
     if runtime.parallel_entities is not None:
         return _run_fanned_out(list(problems), config, budget_overrides)
 
+    policy = runtime.parallel_policy
+    shared = EvaluatorPool(policy) if policy is not None else None
     pool = SessionPool()
     states: List[_EntityState] = []
-    parallel_policy = runtime.parallel_policy
     for index, problem in enumerate(problems):
         platform, channel, selector, budget = _prepare_entity(
             problem, index, config, budget_overrides
         )
-        if parallel_policy is not None:
-            if not hasattr(selector, "parallel"):
-                # Neither wiring can help this selector: it ignores per-call
-                # policies and never consumes a session's evaluator.
-                if index == 0:
-                    warnings.warn(
-                        f"selector {config.selector!r} does not support "
-                        "parallel candidate scans; the workers/"
-                        "parallel_threshold settings are ignored",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            elif not runtime.persistent_pool:
-                selector.parallel = parallel_policy
+        if (
+            shared is not None
+            and index == 0
+            and not isinstance(selector, ParallelSelectorMixin)
+        ):
+            warnings.warn(
+                f"selector {config.selector!r} does not support parallel "
+                "candidate scans; the workers/parallel_threshold settings are "
+                "ignored",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         states.append(
             _EntityState(
                 problem=problem,
-                # The session derives both the re-calibration flag and (with
-                # persistent_pool) its session-owned policy from the runtime.
                 session=pool.add(
-                    problem.entity, problem.prior, channel, runtime=runtime
+                    problem.entity, problem.prior, channel, runtime=runtime,
+                    evaluator_pool=shared,
                 ),
                 platform=platform,
                 selector=selector,
@@ -566,9 +468,13 @@ def run_quality_experiment(
     total_cost = sum(state.platform.stats().answers_collected for state in states)
     result.points.append(_measure(pool, states, total_cost))
 
-    # The pool context releases every session's persistent worker pool on the
-    # way out — including when a selector raises mid-pass.
-    with pool:
+    # Leaving the contexts detaches every session and terminates the shared
+    # pool's workers — including when a selector raises mid-pass.
+    with shared if shared is not None else contextlib.nullcontext(), pool:
+        # Attach every engine before the first scan, so the shared pool forks
+        # once with all of them instead of re-forking as each entity joins.
+        for state in states:
+            state.session.shared_evaluator()
         while any(state.remaining_budget > 0 for state in states):
             progressed = False
             for state in states:
@@ -586,8 +492,8 @@ def run_quality_experiment(
                 total_cost += len(selection.task_ids)
                 progressed = True
                 if state.remaining_budget <= 0:
-                    # This entity will never scan again: release its persistent
-                    # workers now instead of holding them to the end of the run.
+                    # This entity will never scan again: detach it now (the
+                    # shared pool's workers exit once the last entity has).
                     state.session.close()
             if not progressed:
                 break
@@ -624,11 +530,6 @@ class EntityTrajectory:
     initial_utility: float
     initial_labels: Dict[str, bool]
     rounds: List[TrajectoryRound]
-
-
-#: Backwards-compatible private aliases (pre-1.2 internal names).
-_TrajectoryRound = TrajectoryRound
-_EntityTrajectory = EntityTrajectory
 
 
 def run_entity_trajectory(

@@ -92,10 +92,14 @@ class BayesianVote:
     def _claim_posteriors(
         self, database: ClaimDatabase, accuracy: Dict[str, float]
     ) -> Dict[str, float]:
-        """Softmax of per-claim vote counts within each data item."""
+        """Softmax of per-claim vote counts within each data item.
+
+        Votes are summed with ``math.fsum``: exact rounding makes them
+        independent of the hash order ``claim.sources`` iterates in.
+        """
         claims = database.claims()
         votes = {
-            claim.claim_id: sum(
+            claim.claim_id: math.fsum(
                 self._vote_score(accuracy.get(source_id, self._initial_accuracy))
                 for source_id in claim.sources
             )

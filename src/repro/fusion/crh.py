@@ -156,10 +156,17 @@ class ModifiedCRH:
     def _weighted_confidences(
         self, database: ClaimDatabase, weights: Dict[str, float]
     ) -> Dict[str, float]:
-        """Normalised weighted vote each claim receives within its data item."""
+        """Normalised weighted vote each claim receives within its data item.
+
+        ``claim.sources`` is a frozenset, which iterates in string-hash order;
+        ``math.fsum`` rounds exactly, so the votes do not depend on that
+        order (or on ``PYTHONHASHSEED``).
+        """
         claims = database.claims()
         votes = {
-            claim.claim_id: sum(weights.get(source_id, 0.0) for source_id in claim.sources)
+            claim.claim_id: math.fsum(
+                weights.get(source_id, 0.0) for source_id in claim.sources
+            )
             for claim in claims
         }
         totals: Dict[Tuple[str, str], float] = {}

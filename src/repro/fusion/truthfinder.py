@@ -88,14 +88,15 @@ class TruthFinder:
         claim's raw score is the sum over its supporters and the final
         confidence applies the dampened sigmoid ``1 / (1 + e^(−γ·σ*))`` — the
         adjustment Yin et al. introduce to keep the iteration from collapsing
-        or saturating.
+        or saturating.  The sum uses ``math.fsum``, whose exact rounding makes
+        it independent of the hash order ``claim.sources`` iterates in.
         """
         confidences: Dict[str, float] = {}
         for claim in database.claims():
-            raw_score = 0.0
-            for source_id in claim.sources:
-                trust_value = min(0.999999, trust.get(source_id, self._initial_trust))
-                raw_score += -math.log(1.0 - trust_value)
+            raw_score = math.fsum(
+                -math.log(1.0 - min(0.999999, trust.get(source_id, self._initial_trust)))
+                for source_id in claim.sources
+            )
             confidences[claim.claim_id] = 1.0 / (1.0 + math.exp(-self._dampening * raw_score))
         return confidences
 

@@ -725,6 +725,7 @@ class _Coordinator:
             now = time.monotonic()
             for lease in list(self.active.values()):
                 if lease.deadline <= now:
+                    lease.conn.suspect = True
                     self._fence_lease(
                         lease,
                         f"no heartbeat for {self.cluster.lease_ttl_s:.3f}s",

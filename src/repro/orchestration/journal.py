@@ -15,7 +15,8 @@ the service session snapshot store:
   successful write).
 * :class:`RunLock` — a pid lock file guarding a run directory.  A lock held
   by a live process refuses the acquire; a lock left behind by a dead pid is
-  taken over, so a SIGKILL'd orchestrator never bricks its run directory.
+  taken over (under a kernel ``flock`` guard, so racing takeovers
+  serialize), and a SIGKILL'd orchestrator never bricks its run directory.
 
 Every durability-relevant syscall path has a fault hook
 (:mod:`repro.testing.faults`): ``journal_append`` can return ``"enospc"``
@@ -28,7 +29,9 @@ before the acquire, forcing the takeover path).
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import fcntl
 import json
 import os
 import time
@@ -215,10 +218,15 @@ class RunLock:
     dead (a crashed orchestrator must not brick its run directory), and
     creates its own lock with ``O_CREAT|O_EXCL`` so two racing acquirers
     serialize in the kernel: exactly one creation succeeds.  Stale-lock
-    takeover is an ``os.rename`` to a per-acquirer graveyard name — again
-    exactly one racer's rename succeeds; the loser re-reads the winner's
-    fresh lock and refuses with a clear error.  ``release`` only removes the
-    lock when it still belongs to this process.
+    takeover runs under an exclusive ``flock`` on a sibling ``<lock>.guard``
+    file: the taker re-reads the holder under the guard and only removes the
+    lock if it still names the dead pid, then creates its own before letting
+    go.  Without the guard a racer could replace the stale lock with its own
+    live one between the liveness check and the removal, and have it removed
+    from under it.  The kernel drops a ``flock`` when its holder dies, so
+    the guard itself can never go stale.  The loser of a race re-reads the
+    winner's fresh lock and refuses with a clear error.  ``release`` only
+    removes the lock when it still belongs to this process.
     """
 
     def __init__(self, path: str) -> None:
@@ -255,19 +263,37 @@ class RunLock:
                     f"run directory is locked by live process {holder_pid} "
                     f"({self.path}); refusing concurrent access"
                 )
-            grave = f"{self.path}.stale.{os.getpid()}.{attempt}"
-            try:
-                os.rename(self.path, grave)
-            except FileNotFoundError:
-                continue  # another racer already renamed it away
-            try:
-                os.unlink(grave)
-            except OSError:  # pragma: no cover - already reaped
-                pass
+            with self._takeover_guard():
+                # Re-read under the guard: another racer may have taken the
+                # stale lock over since we judged it dead.
+                current = self._holder_pid()
+                if (current if current is not None else -1) != holder_pid:
+                    continue  # the lock changed hands; judge it afresh
+                grave = f"{self.path}.stale.{os.getpid()}.{attempt}"
+                try:
+                    os.rename(self.path, grave)
+                except FileNotFoundError:
+                    continue  # vanished: its holder released it
+                try:
+                    os.unlink(grave)
+                except OSError:  # pragma: no cover - already reaped
+                    pass
+                if self._try_create():
+                    return
         raise OrchestrationError(
             f"could not acquire run lock {self.path}: the lock file kept "
             f"changing hands for {_ACQUIRE_ATTEMPTS} attempts"
         )
+
+    @contextlib.contextmanager
+    def _takeover_guard(self) -> Iterator[None]:
+        """Hold an exclusive ``flock`` on ``<lock>.guard`` for the block."""
+        fd = os.open(self.path + ".guard", os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # closing the descriptor releases the flock
 
     def _try_create(self) -> bool:
         """Atomically create the lock file; ``True`` when this process now owns it."""

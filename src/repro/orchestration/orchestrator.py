@@ -277,12 +277,20 @@ class _ShardPool:
 
     def __init__(self, size: int) -> None:
         self._context = multiprocessing.get_context("fork")
-        self.shards: List[_Shard] = [self._fork() for _ in range(size)]
+        self.shards: List[_Shard] = []
+        for _ in range(size):
+            self.shards.append(self._fork())
 
     def _fork(self) -> _Shard:
         parent_end, child_end = self._context.Pipe()
+        # The child inherits the orchestrator's end of its own pipe and of
+        # every sibling's; it closes them, or an orchestrator death would
+        # never reach it as EOF and it would wait for commands forever.
+        inherited = [parent_end] + [shard.connection for shard in self.shards]
         process = self._context.Process(
-            target=_worker_module.shard_main, args=(child_end,), daemon=True
+            target=_worker_module.shard_main,
+            args=(child_end, inherited),
+            daemon=True,
         )
         process.start()
         child_end.close()

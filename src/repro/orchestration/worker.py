@@ -17,7 +17,7 @@ chaos suite can kill or fail them at a precise position.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation.experiment import (
     EntityProblem,
@@ -69,7 +69,10 @@ def trajectory_from_payload(payload: Dict[str, Any]) -> EntityTrajectory:
     )
 
 
-def shard_main(connection: "multiprocessing.connection.Connection") -> None:
+def shard_main(
+    connection: "multiprocessing.connection.Connection",
+    inherited: Sequence["multiprocessing.connection.Connection"] = (),
+) -> None:
     """Entry point of one shard process: serve entity indices until ``None``.
 
     Replies are ``("ok", index, payload)`` or ``("error", index, message)``;
@@ -77,11 +80,19 @@ def shard_main(connection: "multiprocessing.connection.Connection") -> None:
     poison entity costs one reply, not one process.  The fault point fires
     *before* the trajectory runs — a killed shard therefore dies with the
     entity undone, which is exactly the in-flight state resume must handle.
+    ``inherited`` are the orchestrator-side pipe ends the fork copied into
+    this process; closing them lets an orchestrator death arrive as EOF,
+    on which the shard exits.
     """
     assert _SHARD_CONTEXT is not None, "shard forked without published context"
+    for stale in inherited:
+        stale.close()
     problems, config, budget_overrides = _SHARD_CONTEXT
     while True:
-        index = connection.recv()
+        try:
+            index = connection.recv()
+        except EOFError:
+            return  # the orchestrator is gone; nobody is left to serve
         if index is None:
             connection.close()
             return

@@ -204,9 +204,8 @@ class RefinementService:
         runtime.  When it carries workers, the service builds ``pools``
         shared :class:`~repro.core.selection.parallel.EvaluatorPool`
         instances and multiplexes every session onto them; without workers
-        all scans run serially on the executor threads.  (Service pools are
-        persistent by construction — the ``persistent_pool`` flag is not
-        required.)  ``recalibrate`` and ``parallel_entities`` are rejected
+        all scans run serially on the executor threads.
+        ``recalibrate`` and ``parallel_entities`` are rejected
         with :class:`~repro.service.api.ValidationFailedError`: the service
         runtime does not implement them, and silently ignoring them would
         hand a tenant different trajectories than the options promise.

@@ -48,6 +48,24 @@ def disarm():
     faults.uninstall()
 
 
+def _processes_mentioning(token):
+    """Pids of live processes whose command line contains ``token``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                state = handle.read().rsplit(b")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if token.encode() in cmdline and state != b"Z":
+            pids.append(int(entry))
+    return pids
+
+
 def _run_cli(run_dir, *extra, env_extra=None, wait=True):
     env = dict(os.environ, PYTHONPATH=SRC_DIR, **(env_extra or {}))
     process = subprocess.Popen(
@@ -115,8 +133,12 @@ class TestOrchestratorKill:
         assert not (crashed / "curve.jsonl").exists()
 
         # Orphaned shards notice the dead parent (EOF on the command pipe)
-        # and exit on their own; give them a moment before resuming.
-        time.sleep(1.0)
+        # and exit on their own — the one in flight once its stalled entity
+        # finishes.
+        deadline = time.monotonic() + 10.0
+        while _processes_mentioning(str(crashed)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _processes_mentioning(str(crashed)) == [], "orphaned shards"
         # Resume: the SIGKILLed process's stale lock is taken over, the
         # journal replayed, the remaining entities recomputed.
         code, out, err = _run_cli(crashed, "--resume")

@@ -156,12 +156,7 @@ class TestPersistentPoolEquivalence:
     def test_persistent_pool_matches_serial(self, tier):
         distribution = sparse_distribution(16, 2048, 11)
         crowd = CrowdModel(ACCURACY)
-        runtime = RuntimeOptions(
-            workers=2,
-            persistent_pool=True,
-            parallel_threshold=0,
-            kernel=tier,
-        )
+        runtime = RuntimeOptions(workers=2, parallel_threshold=0, kernel=tier)
 
         def run(options):
             with RefinementSession(distribution, crowd, runtime=options) as session:
@@ -183,9 +178,7 @@ class TestPersistentPoolEquivalence:
         crowd = CrowdModel(ACCURACY)
 
         def run(tier):
-            options = RuntimeOptions(
-                workers=2, persistent_pool=True, parallel_threshold=0, kernel=tier
-            )
+            options = RuntimeOptions(workers=2, parallel_threshold=0, kernel=tier)
             with RefinementSession(distribution, crowd, runtime=options) as session:
                 return get_selector("greedy").select_with_session(session, 3).task_ids
 

@@ -5,7 +5,9 @@ iteration's candidate scan across a fork-shared worker pool must select
 exactly the task sets — same ids, same order, objectives within 1e-9 — that
 the serial scan selects, across worker counts, channel models and the
 pruning variant; and batched multi-query scoring through one session's
-shared caches must match one fresh engine per query.
+shared caches must match one fresh engine per query.  A one-shot parallel
+selection is a session with a policy: ``with RefinementSession(dist, crowd,
+parallel=policy) as session: session.select(selector, k)``.
 """
 
 import numpy as np
@@ -18,8 +20,8 @@ from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.query import Query
 from repro.core.selection import (
+    EvaluatorPool,
     GreedySelector,
-    ParallelEvaluator,
     ParallelPolicy,
     QueryGreedySelector,
     RefinementSession,
@@ -78,6 +80,12 @@ def heterogeneous_channel(fact_ids):
     )
 
 
+def pooled_select(selector, dist, crowd, k, policy):
+    """One selection on a one-shot session that owns a pool under ``policy``."""
+    with RefinementSession(dist, crowd, parallel=policy) as session:
+        return session.select(selector, k)
+
+
 class TestParallelPolicy:
     def test_validation(self):
         with pytest.raises(SelectionError):
@@ -122,8 +130,9 @@ class TestAutoSerialThreshold:
     def test_below_threshold_matches_serial_without_forking(self, dist, accuracy, k):
         crowd = CrowdModel(accuracy)
         serial = GreedySelector().select(dist, crowd, k)
-        configured = GreedySelector(parallel=ParallelPolicy(workers=4))
-        result = configured.select(dist, crowd, k)
+        result = pooled_select(
+            GreedySelector(), dist, crowd, k, ParallelPolicy(workers=4)
+        )
         assert result.task_ids == serial.task_ids
         assert result.objective == serial.objective
         assert result.stats.workers == 0
@@ -133,10 +142,12 @@ class TestAutoSerialThreshold:
     def test_evaluator_reports_serial_below_threshold(self):
         dist = dense_distribution(8, 64)
         engine = EntropyEngine(dist, CrowdModel(0.8))
-        with ParallelEvaluator(engine, ParallelPolicy(workers=4)) as evaluator:
+        with EvaluatorPool(ParallelPolicy(workers=4)) as pool:
+            evaluator = pool.attach(engine)
             state = engine.initial_state()
             assert evaluator.evaluate(state, list(dist.fact_ids)) is None
             assert evaluator.workers == 0
+            assert not pool.forked
 
 
 @pytest.mark.parallel
@@ -152,11 +163,8 @@ class TestParallelEquivalence:
     def test_parallel_matches_serial(self, dist, accuracy, k, workers, name):
         crowd = CrowdModel(accuracy)
         serial = get_selector(name).select(dist, crowd, k)
-        parallel_selector = get_selector(name)
-        parallel_selector.parallel = ParallelPolicy(
-            workers=workers, parallel_threshold=FORCE_PARALLEL
-        )
-        result = parallel_selector.select(dist, crowd, k)
+        policy = ParallelPolicy(workers=workers, parallel_threshold=FORCE_PARALLEL)
+        result = pooled_select(get_selector(name), dist, crowd, k, policy)
         assert result.task_ids == serial.task_ids
         assert abs(result.objective - serial.objective) < 1e-9
         assert result.stats.candidate_evaluations == serial.stats.candidate_evaluations
@@ -167,10 +175,8 @@ class TestParallelEquivalence:
     def test_parallel_matches_serial_heterogeneous(self, dist, k):
         channel = heterogeneous_channel(dist.fact_ids)
         serial = GreedySelector().select(dist, channel, k)
-        parallel_selector = GreedySelector(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        )
-        result = parallel_selector.select(dist, channel, k)
+        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        result = pooled_select(GreedySelector(), dist, channel, k, policy)
         assert result.task_ids == serial.task_ids
         assert abs(result.objective - serial.objective) < 1e-9
 
@@ -187,7 +193,8 @@ class TestParallelEquivalence:
             for fact_id in candidates
         ]
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        with ParallelEvaluator(engine, policy) as evaluator:
+        with EvaluatorPool(policy) as pool:
+            evaluator = pool.attach(engine)
             scored = evaluator.evaluate(state, candidates)
         # Replayed worker state runs the identical float operations, so the
         # entropies agree to the last bit, not merely within tolerance.
@@ -199,11 +206,8 @@ class TestParallelEquivalence:
         crowd = CrowdModel(0.8)
         serial_session = RefinementSession(dist, crowd)
         serial = serial_session.select(GreedySelector(), 4)
-        parallel_session = RefinementSession(dist, crowd)
-        selector = GreedySelector(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        )
-        result = parallel_session.select(selector, 4)
+        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        result = pooled_select(GreedySelector(), dist, crowd, 4, policy)
         assert result.task_ids == serial.task_ids
         assert abs(result.objective - serial.objective) < 1e-9
         assert result.stats.workers == 2
@@ -220,8 +224,9 @@ class TestParallelEquivalenceAtScale:
         crowd = CrowdModel(0.8)
         serial = GreedySelector().select(dist, crowd, 2)
         for workers in (2, 4):
-            selector = GreedySelector(parallel=ParallelPolicy(workers=workers))
-            result = selector.select(dist, crowd, 2)
+            result = pooled_select(
+                GreedySelector(), dist, crowd, 2, ParallelPolicy(workers=workers)
+            )
             assert result.task_ids == serial.task_ids
             assert abs(result.objective - serial.objective) < 1e-9
             assert result.stats.workers == workers

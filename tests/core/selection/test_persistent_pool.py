@@ -1,14 +1,14 @@
 """Equivalence and lifecycle suite for the persistent parallel runtime.
 
-The persistent pool's contract extends the per-call evaluator's: one
-fork-shared worker pool owned by a :class:`RefinementSession` survives every
-``merge`` (posteriors travel through the shared-memory snapshot ring, channel
-swaps are replayed from the dispatch header), and every selection it serves
-must be bit-for-bit what the serial session path selects — same task ids,
-objectives within 1e-9 — across worker counts, channel models, the lazy
-batch-refresh variant, re-calibration, and batched multi-query scoring.
-The lifecycle half: worker processes must never outlive their owning
-session/evaluator, even when a selector raises mid-scan.
+The persistent pool's contract: one fork-shared worker pool owned by a
+:class:`RefinementSession` survives every ``merge`` (posteriors travel
+through the shared-memory snapshot ring, channel swaps are replayed from the
+dispatch header), and every selection it serves must be bit-for-bit what the
+serial session path selects — same task ids, objectives within 1e-9 —
+across worker counts, channel models, the lazy batch-refresh variant,
+re-calibration, and batched multi-query scoring.  The lifecycle half: worker
+processes must never outlive their owning session/pool, even when a
+selector raises mid-scan.
 """
 
 import multiprocessing
@@ -21,22 +21,27 @@ from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.engine import CrowdFusionEngine
 from repro.core.query import Query
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
+    EvaluatorPool,
     GreedySelector,
     LazyGreedySelector,
-    ParallelEvaluator,
     ParallelPolicy,
+    PooledEvaluator,
     PrunedPreprocessingGreedySelector,
     QueryGreedySelector,
     RefinementSession,
     SessionPool,
 )
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import _SnapshotRing, fork_available
+from repro.core.selection.parallel import _SnapshotRing
 from repro.exceptions import SelectionError
 
 #: Forces the pool for any scan with at least two candidates.
 FORCE_PARALLEL = 0
+
+#: Sessions re-estimating channel accuracies as they merge.
+RECALIBRATE = RuntimeOptions(recalibrate=True)
 
 
 def dense_distribution(num_facts, support, seed=0):
@@ -159,10 +164,31 @@ class TestSessionLifecycle:
             parallel=ParallelPolicy(workers=2),
         )
         evaluator = session.shared_evaluator()
-        assert evaluator is not None
-        assert evaluator.persistent
+        assert isinstance(evaluator, PooledEvaluator)
         assert session.shared_evaluator() is evaluator
+        session.merge(AnswerSet.from_mapping({"f0": True}))
+        assert session.shared_evaluator() is evaluator  # survives merges
         session.close()
+
+    def test_runtime_workers_give_the_session_a_private_pool(self):
+        runtime = RuntimeOptions(workers=2, parallel_threshold=0)
+        with RefinementSession(
+            dense_distribution(5, 16), CrowdModel(0.8), runtime=runtime
+        ) as session:
+            assert session.parallel_policy == runtime.parallel_policy
+            evaluator = session.shared_evaluator()
+            assert evaluator is not None and not evaluator.degraded
+            assert evaluator.worker_crashes == 0
+            assert evaluator.pool_rebuilds == 0
+            assert evaluator.breaker_trips == 0
+
+    def test_policy_and_shared_pool_are_exclusive(self):
+        with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+            with pytest.raises(SelectionError, match="evaluator_pool"):
+                RefinementSession(
+                    dense_distribution(5, 16), CrowdModel(0.8),
+                    parallel=ParallelPolicy(workers=2), evaluator_pool=pool,
+                )
 
     def test_session_pool_close_releases_every_session(self):
         pool = SessionPool()
@@ -176,20 +202,13 @@ class TestSessionLifecycle:
         assert first.shared_evaluator() is not first_evaluator
         assert second.shared_evaluator() is None
 
-    def test_engine_requires_policy_for_persistent_pool(self):
-        with pytest.raises(SelectionError):
-            CrowdFusionEngine(
-                GreedySelector(), CrowdModel(0.8), budget=4, tasks_per_round=2,
-                persistent_pool=True,
-            )
-
-    def test_engine_rejects_persistent_pool_without_fork(self, monkeypatch):
-        monkeypatch.setattr("repro.core.engine.fork_available", lambda: False)
-        with pytest.raises(SelectionError, match="fork"):
-            CrowdFusionEngine(
-                GreedySelector(), CrowdModel(0.8), budget=4, tasks_per_round=2,
-                parallel=ParallelPolicy(workers=2), persistent_pool=True,
-            )
+    def test_greedy_family_takes_no_parallel_keyword(self):
+        # Pools belong to sessions; selectors carry no policy of their own.
+        for selector_type in (
+            GreedySelector, LazyGreedySelector, PrunedPreprocessingGreedySelector
+        ):
+            with pytest.raises(TypeError):
+                selector_type(parallel=ParallelPolicy(workers=2))
 
 
 @pytest.mark.parallel
@@ -201,24 +220,27 @@ class TestNoLeakedWorkers:
         engine = EntropyEngine(dist, CrowdModel(0.8))
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with pytest.raises(Exception):
-            with ParallelEvaluator(engine, policy) as evaluator:
+            with EvaluatorPool(policy) as pool:
                 # Unknown fact ids make the workers raise mid-scan; the
                 # context manager must still terminate the forked pool.
-                evaluator.evaluate(engine.initial_state(), ["f0", "no-such-fact"])
+                pool.attach(engine).evaluate(
+                    engine.initial_state(), ["f0", "no-such-fact"]
+                )
         assert multiprocessing.active_children() == []
 
-    def test_per_call_pool_reclaimed_when_selector_raises_mid_scan(self):
+    def test_engine_pool_reclaimed_when_selector_raises_mid_scan(self):
         class ExplodingGreedy(GreedySelector):
             def _runner(self, engine, k, candidates, evaluator):
                 evaluator.evaluate(engine.initial_state(), list(candidates))
                 raise RuntimeError("boom")
 
         dist = dense_distribution(8, 64)
-        selector = ExplodingGreedy(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        engine = CrowdFusionEngine(
+            ExplodingGreedy(), CrowdModel(0.8), budget=4, tasks_per_round=2,
+            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL),
         )
         with pytest.raises(RuntimeError, match="boom"):
-            selector.select(dist, CrowdModel(0.8), 2)
+            engine.run(dist, lambda task_ids: scripted_answers(task_ids, 0))
         assert multiprocessing.active_children() == []
 
     def test_session_context_reclaims_persistent_pool_on_exception(self):
@@ -241,7 +263,7 @@ class TestNoLeakedWorkers:
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         engine = CrowdFusionEngine(
             GreedySelector(), CrowdModel(0.8), budget=6, tasks_per_round=2,
-            parallel=policy, persistent_pool=True,
+            parallel=policy,
         )
 
         calls = {"count": 0}
@@ -299,11 +321,11 @@ class TestPersistentPoolEquivalence:
         dist = dense_distribution(10, 256, seed=6)
         crowd = CrowdModel(0.8)
         serial = run_rounds(
-            RefinementSession(dist, crowd, recalibrate=True), GreedySelector()
+            RefinementSession(dist, crowd, runtime=RECALIBRATE), GreedySelector()
         )
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with RefinementSession(
-            dist, crowd, recalibrate=True, parallel=policy
+            dist, crowd, runtime=RECALIBRATE, parallel=policy
         ) as session:
             persistent = run_rounds(session, GreedySelector())
             assert session.channel is not crowd  # a swap actually happened
@@ -322,7 +344,7 @@ class TestPersistentPoolEquivalence:
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         persistent = CrowdFusionEngine(
             GreedySelector(), crowd, budget=8, tasks_per_round=2,
-            parallel=policy, persistent_pool=True,
+            parallel=policy,
         ).run(dist, provider)
         assert [r.task_ids for r in persistent.rounds] == [
             r.task_ids for r in serial.rounds
@@ -340,9 +362,9 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(12, 512, seed=8)
         crowd = CrowdModel(0.8)
         serial = LazyGreedySelector().select(dist, crowd, 5)
-        parallel = LazyGreedySelector(
-            parallel=ParallelPolicy(workers=workers, parallel_threshold=FORCE_PARALLEL)
-        ).select(dist, crowd, 5)
+        policy = ParallelPolicy(workers=workers, parallel_threshold=FORCE_PARALLEL)
+        with RefinementSession(dist, crowd, parallel=policy) as session:
+            parallel = session.select(LazyGreedySelector(), 5)
         assert parallel.task_ids == serial.task_ids
         assert abs(parallel.objective - serial.objective) < 1e-9
         assert parallel.stats.parallel_evaluations > 0
@@ -353,9 +375,9 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(11, 256, seed=9)
         crowd = CrowdModel(0.8)
         plain = GreedySelector().select(dist, crowd, 4)
-        waves = LazyGreedySelector(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        ).select(dist, crowd, 4)
+        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        with RefinementSession(dist, crowd, parallel=policy) as session:
+            waves = session.select(LazyGreedySelector(), 4)
         assert waves.task_ids == plain.task_ids
         assert abs(waves.objective - plain.objective) < 1e-9
 
@@ -375,9 +397,11 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(10, 128, seed=11)
         crowd = CrowdModel(0.8)
         serial = LazyGreedySelector().select(dist, crowd, 4)
-        guarded = LazyGreedySelector(
-            parallel=ParallelPolicy(workers=4)  # default threshold: stays serial
-        ).select(dist, crowd, 4)
+        # Default threshold: every wave stays serial.
+        with RefinementSession(
+            dist, crowd, parallel=ParallelPolicy(workers=4)
+        ) as session:
+            guarded = session.select(LazyGreedySelector(), 4)
         assert guarded.task_ids == serial.task_ids
         assert guarded.objective == serial.objective
         assert guarded.stats.workers == 0
@@ -430,10 +454,10 @@ class TestSessionInterplayOnPersistentPool:
                 session.merge(scripted_answers(result.task_ids, round_index))
             return session.select_queries(queries, 2)
 
-        serial_session = RefinementSession(dist, crowd, recalibrate=True)
+        serial_session = RefinementSession(dist, crowd, runtime=RECALIBRATE)
         serial = drive(serial_session)
         with RefinementSession(
-            dist, crowd, recalibrate=True, parallel=policy
+            dist, crowd, runtime=RECALIBRATE, parallel=policy
         ) as session:
             persistent = drive(session)
         for serial_result, result in zip(serial, persistent):

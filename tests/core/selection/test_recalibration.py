@@ -1,10 +1,10 @@
 """Adaptive channel re-calibration: sessions re-estimating crowd accuracy.
 
-A session built with ``recalibrate=True`` watches how strongly the merged
-posterior endorses each received answer and overlays per-fact accuracy
-re-estimates on the base channel model.  The overlay must stay inside
-Definition 2's ``[0.5, 1]`` band, leave unasked facts on the base channel,
-and be entirely absent when the flag is off.
+A session built with ``RuntimeOptions(recalibrate=True)`` watches how
+strongly the merged posterior endorses each received answer and overlays
+per-fact accuracy re-estimates on the base channel model.  The overlay must
+stay inside Definition 2's ``[0.5, 1]`` band, leave unasked facts on the base
+channel, and be entirely absent when the flag is off.
 """
 
 import numpy as np
@@ -14,10 +14,15 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel, RecalibratedChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.engine import CrowdFusionEngine
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import GreedySelector, RefinementSession, SessionPool
 from repro.evaluation.experiment import ExperimentConfig, build_problems, run_quality_experiment
 from repro.exceptions import SelectionError
 from repro.fusion import MajorityVote
+
+
+#: Sessions re-estimating channel accuracies as they merge.
+RECALIBRATE = RuntimeOptions(recalibrate=True)
 
 
 def dense_distribution(num_facts, support, seed=0):
@@ -41,14 +46,14 @@ class TestRecalibrationFlag:
     def test_invalid_smoothing_rejected(self):
         with pytest.raises(SelectionError):
             RefinementSession(
-                dense_distribution(4, 12), CrowdModel(0.8), recalibrate=True,
+                dense_distribution(4, 12), CrowdModel(0.8), runtime=RECALIBRATE,
                 recalibration_smoothing=0.0,
             )
 
     def test_enabled_sessions_overlay_answered_facts_only(self):
         crowd = CrowdModel(0.8)
         session = RefinementSession(
-            dense_distribution(6, 40), crowd, recalibrate=True
+            dense_distribution(6, 40), crowd, runtime=RECALIBRATE
         )
         session.merge(AnswerSet.from_mapping({"f0": True, "f2": False}))
         channel = session.channel
@@ -63,7 +68,7 @@ class TestRecalibrationFlag:
 class TestRecalibrationDynamics:
     def test_estimates_stay_in_definition2_band(self):
         session = RefinementSession(
-            dense_distribution(6, 48, seed=3), CrowdModel(0.8), recalibrate=True
+            dense_distribution(6, 48, seed=3), CrowdModel(0.8), runtime=RECALIBRATE
         )
         rng = np.random.default_rng(0)
         for _ in range(12):
@@ -75,7 +80,7 @@ class TestRecalibrationDynamics:
 
     def test_consistent_answers_raise_the_estimate(self):
         session = RefinementSession(
-            dense_distribution(6, 48, seed=5), CrowdModel(0.8), recalibrate=True
+            dense_distribution(6, 48, seed=5), CrowdModel(0.8), runtime=RECALIBRATE
         )
         for _ in range(10):
             session.merge(AnswerSet.from_mapping({"f3": True}))
@@ -85,7 +90,7 @@ class TestRecalibrationDynamics:
 
     def test_contradictory_answers_sink_toward_the_coin_flip_floor(self):
         session = RefinementSession(
-            dense_distribution(6, 48, seed=7), CrowdModel(0.9), recalibrate=True
+            dense_distribution(6, 48, seed=7), CrowdModel(0.9), runtime=RECALIBRATE
         )
         for round_index in range(10):
             session.merge(
@@ -95,7 +100,7 @@ class TestRecalibrationDynamics:
 
     def test_selection_runs_on_the_recalibrated_channel(self):
         session = RefinementSession(
-            dense_distribution(8, 64, seed=9), CrowdModel(0.8), recalibrate=True
+            dense_distribution(8, 64, seed=9), CrowdModel(0.8), runtime=RECALIBRATE
         )
         session.merge(AnswerSet.from_mapping({"f0": True, "f1": True}))
         result = session.select(GreedySelector(), 3)
@@ -114,7 +119,7 @@ class TestRecalibrationWiring:
 
         engine = CrowdFusionEngine(
             GreedySelector(), CrowdModel(0.8), budget=6, tasks_per_round=2,
-            recalibrate_channels=True,
+            runtime=RECALIBRATE,
         )
         result = engine.run(distribution, oracle)
         assert result.rounds
@@ -123,7 +128,7 @@ class TestRecalibrationWiring:
     def test_session_pool_passthrough(self):
         pool = SessionPool()
         session = pool.add(
-            "entity", dense_distribution(5, 24), CrowdModel(0.8), recalibrate=True
+            "entity", dense_distribution(5, 24), CrowdModel(0.8), runtime=RECALIBRATE
         )
         assert session.recalibrates
 
@@ -140,7 +145,7 @@ class TestRecalibrationWiring:
         )
         config = ExperimentConfig(
             selector="greedy", k=2, budget_per_entity=4,
-            recalibrate_channels=True, seed=13,
+            runtime=RECALIBRATE, seed=13,
         )
         result = run_quality_experiment(problems, config)
         assert len(result.points) >= 2

@@ -131,3 +131,28 @@ def test_guard_is_installed_once_per_owning_process():
             second.close()
     finally:
         ring.close()
+
+
+def test_fork_children_get_the_replaced_sigterm_disposition_back():
+    # A Python-level SIGTERM handler can lose a signal that lands just before
+    # a blocking C call, so a pool worker inheriting the guard's handler
+    # could ignore Pool.terminate forever; children must act on SIGTERM in
+    # the kernel instead.
+    ring = _SnapshotRing(16)
+    try:
+        assert signal.getsignal(signal.SIGTERM) is parallel._sigterm_reap_and_chain
+        read_fd, write_fd = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            inherited = signal.getsignal(signal.SIGTERM)
+            restored = inherited is not parallel._sigterm_reap_and_chain
+            os.write(write_fd, b"restored" if restored else b"guard")
+            os._exit(0)
+        os.close(write_fd)
+        os.waitpid(child, 0)
+        assert os.read(read_fd, 16) == b"restored"
+        os.close(read_fd)
+        # The owner keeps its handler.
+        assert signal.getsignal(signal.SIGTERM) is parallel._sigterm_reap_and_chain
+    finally:
+        ring.close()
