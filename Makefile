@@ -37,15 +37,17 @@ bench-smoke:
 
 # CI-sized exercise of the kernel ladder and the packed wide-fact
 # representation: unit + property suites for the bit planes and the kernel
-# registry, the cross-tier selection-equivalence suite, and the CI-sized
-# compiled/wide-fact benchmark scenarios.  On hosts without numba the
-# compiled-tier cases skip (never fail) and the numpy/reference tiers still
-# run, so the target is green everywhere.
+# registry, the cross-tier selection-equivalence suite, the batched-scan
+# differential suite (numpy tier vs. the per-candidate oracle, block
+# independence), and the CI-sized compiled/wide-fact benchmark scenarios.
+# On hosts without numba the compiled-tier cases skip (never fail) and the
+# numpy/reference tiers still run, so the target is green everywhere.
 bench-compiled-smoke:
 	$(PYTEST) -q \
 		tests/core/test_bitplanes.py \
 		tests/core/test_kernels.py \
-		tests/core/selection/test_kernel_equivalence.py
+		tests/core/selection/test_kernel_equivalence.py \
+		tests/core/selection/test_batched_scan.py
 	$(PYTEST) -q benchmarks/bench_compiled_kernels.py -k "smoke or wide_facts"
 
 # The fault-injection chaos suite: worker kills mid-scan, hung dispatches,

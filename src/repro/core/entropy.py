@@ -98,6 +98,13 @@ def bit_column(masks: np.ndarray, position: int) -> np.ndarray:
     return ((masks >> position) & 1).astype(np.int8, copy=False)
 
 
+def _flip(array: np.ndarray, axis: int) -> np.ndarray:
+    """``np.flip(array, axis)`` as one basic slice (the same view, without
+    ``np.flip``'s axis normalisation — the channel butterflies below call it
+    once per task bit on small tables, where that overhead dominates)."""
+    return array[(slice(None),) * axis + (slice(None, None, -1),)]
+
+
 def bsc_transform(vector: np.ndarray, num_bits: int, accuracy: float) -> np.ndarray:
     """Push a ``2^num_bits`` mass vector through ``num_bits`` independent BSCs.
 
@@ -112,7 +119,7 @@ def bsc_transform(vector: np.ndarray, num_bits: int, accuracy: float) -> np.ndar
     error = 1.0 - accuracy
     result = result.reshape((2,) * num_bits)
     for axis in range(num_bits):
-        result = accuracy * result + error * np.flip(result, axis=axis)
+        result = accuracy * result + error * _flip(result, axis)
     return result.reshape(-1)
 
 
@@ -129,7 +136,7 @@ def bsc_transform_rows(matrix: np.ndarray, num_bits: int, accuracy: float) -> np
     groups = result.shape[0]
     result = result.reshape((groups,) + (2,) * num_bits)
     for axis in range(1, num_bits + 1):
-        result = accuracy * result + error * np.flip(result, axis=axis)
+        result = accuracy * result + error * _flip(result, axis)
     return result.reshape(groups, -1)
 
 
@@ -159,7 +166,7 @@ def channel_transform(vector: np.ndarray, accuracies: np.ndarray) -> np.ndarray:
         accuracy = float(accuracies[num_bits - 1 - axis])
         if accuracy == 1.0:
             continue
-        result = accuracy * result + (1.0 - accuracy) * np.flip(result, axis=axis)
+        result = accuracy * result + (1.0 - accuracy) * _flip(result, axis)
         touched = True
     result = result.reshape(-1)
     return result if touched else result.copy()
@@ -184,7 +191,7 @@ def channel_transform_rows(matrix: np.ndarray, accuracies: np.ndarray) -> np.nda
         accuracy = float(accuracies[num_bits - axis])
         if accuracy == 1.0:
             continue
-        result = accuracy * result + (1.0 - accuracy) * np.flip(result, axis=axis)
+        result = accuracy * result + (1.0 - accuracy) * _flip(result, axis)
         touched = True
     result = result.reshape(groups, -1)
     return result if touched else result.copy()

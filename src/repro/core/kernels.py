@@ -1,12 +1,11 @@
 """The kernel registry: one selection hot loop, three interchangeable tiers.
 
-The per-candidate cost of one greedy iteration is a short fixed pipeline —
-mask the probability vector to the candidate's true rows, group it by the
-cached partition key, push the grouped table through the per-bit noise
-channels, and take two entropies.  The :mod:`repro.core.selection.engine`
-composes that pipeline from vectorized NumPy primitives; this module lets the
-same engine swap the *implementation* of the pipeline without changing a
-single selection:
+Scoring a greedy candidate is a short fixed pipeline — mask the probability
+vector to the candidate's true rows, group it by the cached partition key,
+push the grouped table through the per-bit noise channels, and take two
+entropies.  The :mod:`repro.core.selection.engine` runs that pipeline; this
+module lets the same engine swap the *implementation* of the pipeline without
+changing a single selection:
 
 ``compiled``
     The loop bodies below JIT-compiled by :mod:`numba` (an optional extra:
@@ -15,13 +14,18 @@ single selection:
     native call with zero temporary arrays, which is where sub-millisecond
     greedy rounds at ``2^20`` supports come from.
 ``numpy``
-    The existing vectorized primitives from :mod:`repro.core.entropy`,
-    composed per step.  Always available; the default wherever numba is not
+    The vectorized primitives from :mod:`repro.core.entropy`, applied by
+    :meth:`~repro.core.selection.engine.EntropyEngine.scan` to a whole block
+    of candidates at once — a fixed number of NumPy calls per block rather
+    than per candidate.  Always available; the default wherever numba is not
     importable.
 ``reference``
     The *same* loop bodies as ``compiled``, executed as plain Python.  Slow,
     but dependency-free — it exists so the compiled algorithm is testable
     (and equivalence-gated against the numpy tier) on hosts without numba.
+
+The fused tiers score one candidate per kernel call; the engine's scan loops
+over the kernel.
 
 Tier selection happens at :class:`~repro.core.selection.engine.EntropyEngine`
 construction through :attr:`repro.core.runtime.RuntimeOptions.kernel`:
@@ -251,9 +255,9 @@ class KernelSet:
     """One resolved tier: the callables an :class:`EntropyEngine` dispatches to.
 
     ``extension_scan`` and ``refine_partition`` are ``None`` on the ``numpy``
-    tier — the engine then composes the scan from its per-step vectorized
-    primitives exactly as before this module existed — and fused loop kernels
-    on the ``compiled`` and ``reference`` tiers.
+    tier — the engine then scores whole candidate blocks with its batched
+    vectorized pipeline — and fused per-candidate loop kernels on the
+    ``compiled`` and ``reference`` tiers.
     """
 
     tier: str
@@ -306,7 +310,7 @@ def _log_fallback_once(reason: str) -> None:
     _fallback_logged = True
     logger.warning(
         "compiled kernel tier unavailable (%s); falling back to the numpy "
-        "tier — selections are identical, per-candidate scans are slower",
+        "tier — selections are identical, only the scan speed differs",
         reason,
     )
 

@@ -21,7 +21,8 @@ Available selectors (Section III & IV of the paper):
 
 All non-reference selectors evaluate entropies through the shared vectorized
 incremental :class:`EntropyEngine` — with uniform or heterogeneous per-task
-channels — and can run either on a fresh engine per call or against a
+channels, scoring each iteration's candidates in one batched
+:meth:`EntropyEngine.scan` (a :class:`CandidateScan`) — and can run either on a fresh engine per call or against a
 persistent :class:`RefinementSession` that amortises one engine across the
 rounds of a multi-round refinement (``TaskSelector.select_with_session``).
 :class:`SessionPool` keys such sessions by entity for batched experiments.
@@ -41,7 +42,7 @@ selector shards its refresh loop in batch waves through the same pool.
 
 from repro.core.selection.base import SelectionResult, SelectionStats, TaskSelector
 from repro.core.selection.brute_force import BruteForceSelector
-from repro.core.selection.engine import EntropyEngine, SelectionState
+from repro.core.selection.engine import CandidateScan, EntropyEngine, SelectionState
 from repro.core.selection.fact_entropy import FactEntropySelector
 from repro.core.selection.greedy import GreedySelector
 from repro.core.selection.lazy import LazyGreedySelector
@@ -64,6 +65,7 @@ from repro.core.selection.session import RefinementSession, SessionPool
 
 __all__ = [
     "BruteForceSelector",
+    "CandidateScan",
     "EntropyEngine",
     "EvaluatorPool",
     "FactEntropySelector",

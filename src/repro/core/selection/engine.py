@@ -1,12 +1,12 @@
 """The vectorized, incremental entropy engine behind every selector.
 
 One greedy iteration of Algorithm 1 evaluates ``H(T ∪ {f})`` for every
-remaining candidate ``f``.  The engine makes a single evaluation cheap by
-combining three ideas:
+remaining candidate ``f``.  The engine makes that whole scan cheap by
+combining four ideas:
 
 1. **Vectorized preprocessing** — the output support is held once as
    contiguous NumPy arrays (masks, probabilities, and one 0/1 column per
-   candidate fact), so no per-candidate pass ever touches Python dicts.
+   candidate fact), so no scan ever touches Python dicts.
 
 2. **Incremental partition refinement** (Algorithm 2 of the paper) — the
    projection of every output onto the already-selected task set is cached in
@@ -20,6 +20,17 @@ combining three ideas:
    ``B₀ = B − B₁``, and the answer distribution of ``T ∪ {f}`` is the pair
    ``(acc_f·B₁ + (1−acc_f)·B₀, (1−acc_f)·B₁ + acc_f·B₀)`` interleaved — one
    ``O(w·2^w)`` transform per candidate instead of rebuilding everything.
+
+4. **Batched scans** — :meth:`EntropyEngine.scan` scores a whole block of
+   candidates with a fixed number of NumPy calls: one offset ``bincount``
+   over the stacked weighted bit columns, one row-wise channel transform over
+   every candidate's table, the candidate channels broadcast over the block,
+   and one entropy reduction per contiguous row.  Because every reduction
+   stays inside one candidate's row, a candidate's entropies do not depend on
+   which other candidates share its block — a pool worker scoring a slice of
+   the candidates returns the very floats the in-process scan would.
+   :meth:`EntropyEngine.extend` commits the winner from the tables of the
+   scan that ranked it instead of convolving it a second time.
 
 The channels need not be uniform: the engine accepts any
 :class:`~repro.core.crowd.ChannelModel`, keeping one ``(acc_i, 1 − acc_i)``
@@ -42,7 +53,7 @@ over an entire multi-round run instead of rebuilding it after every merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +86,14 @@ _MAX_TASK_BITS = 24
 #: ~1 ms to redo.  The recomputed product is the identical float array, so
 #: results are unchanged either way.
 _WEIGHTED_CACHE_MAX_SUPPORT = 1 << 18
+
+#: Cap on one scan block's working set, in array entries: candidates × the
+#: larger of the support size (the stacked bincount keys and weights) and the
+#: state table size ``cells × 2^width`` (the channel and answer tables).  A
+#: block always holds at least one candidate, so a 2^20-row support is scanned
+#: one candidate at a time with exactly the arrays a single evaluation needs.
+#: The same cap bounds the answer tables a scan keeps for :meth:`extend`.
+_SCAN_BLOCK_MAX_ENTRIES = 1 << 20
 
 #: Placeholder passed to the fused scan kernels for uniform channel models
 #: (a kernel signature takes the per-bit accuracy vector unconditionally).
@@ -122,6 +141,69 @@ class SelectionState:
     bit_accuracies: Optional[np.ndarray] = None
 
 
+class CandidateScan:
+    """The scores of one :meth:`EntropyEngine.scan` against one state.
+
+    ``entropies[i]`` is ``H(T ∪ {fact_ids[i]})`` and ``joint_entropies[i]``
+    is ``H(I, T ∪ {fact_ids[i]})`` (equal to ``entropies[i]`` for engines
+    without interest cells), both plain floats in candidate order.  The scan
+    also keeps the candidates' answer tables — as long as they fit
+    :data:`_SCAN_BLOCK_MAX_ENTRIES` — so :meth:`EntropyEngine.extend` can
+    commit whichever candidate wins without convolving it again.
+    """
+
+    __slots__ = ("state", "fact_ids", "entropies", "joint_entropies", "_blocks")
+
+    def __init__(
+        self,
+        state: SelectionState,
+        fact_ids: Tuple[str, ...],
+        entropies: List[float],
+        joint_entropies: List[float],
+        blocks: List[Tuple[int, np.ndarray, np.ndarray]],
+    ):
+        self.state = state
+        self.fact_ids = fact_ids
+        self.entropies = entropies
+        self.joint_entropies = joint_entropies
+        #: ``(first candidate index, answer_false, answer_true)`` per kept
+        #: block; the tables are ``(block, cells, 2^width)`` arrays.
+        self._blocks = blocks
+
+    def extension(
+        self, fact_id: str
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, float, float]]:
+        """``(A_false, A_true, H(T ∪ {f}), H(I, T ∪ {f}))`` of a scanned candidate.
+
+        ``None`` when the scan did not keep that candidate's tables (fused
+        kernel tiers keep none, oversized scans keep only what fits).
+        """
+        index = self.fact_ids.index(fact_id)
+        for start, answer_false, answer_true in self._blocks:
+            row = index - start
+            if 0 <= row < answer_false.shape[0]:
+                return (
+                    answer_false[row],
+                    answer_true[row],
+                    self.entropies[index],
+                    self.joint_entropies[index],
+                )
+        return None
+
+
+def _row_entropies(masses: np.ndarray) -> np.ndarray:
+    """Shannon entropy (base 2) of every row along the last axis.
+
+    Non-positive entries contribute nothing, as in
+    :func:`~repro.core.entropy.entropy_bits`.  Each row is reduced on its
+    own, so a row's entropy is the same float whatever rows share the array;
+    for a row without zeros it is exactly ``entropy_bits`` of that row (same
+    elementwise terms, same pairwise summation over the same length).
+    """
+    positive = np.where(masses > 0.0, masses, 1.0)
+    return -(positive * np.log2(positive)).sum(axis=-1)
+
+
 class EntropyEngine:
     """Vectorized evaluator of answer-set entropies over one distribution.
 
@@ -141,8 +223,9 @@ class EntropyEngine:
         Kernel-tier request resolved through
         :func:`repro.core.kernels.resolve_kernels` — ``auto`` (the default;
         env-overridable via ``REPRO_KERNEL``), ``compiled``, ``numpy`` or
-        ``reference``.  Selections are identical across tiers; the compiled
-        tier fuses each per-candidate scan into one native call.
+        ``reference``.  Selections are identical across tiers; the numpy
+        tier scores candidates in batched blocks, the compiled tier runs one
+        fused native call per candidate.
     packed:
         Support-mask layout override.  ``None`` (the default) keeps the
         ``int64`` column up to 63 facts and switches to packed uint64 bit
@@ -185,7 +268,8 @@ class EntropyEngine:
         self._weighted_bits: Dict[str, np.ndarray] = {}
         self._accuracy: Dict[str, float] = {}
         self._noise: Dict[str, float] = {}
-        #: Number of entropy evaluations served (one per scored candidate).
+        #: Number of entropy evaluations served: one per candidate a
+        #: :meth:`scan` scores (committing with :meth:`extend` adds none).
         self.evaluations = 0
         #: Number of Bayesian reweights applied (rounds served by this engine).
         self.reweights = 0
@@ -440,82 +524,144 @@ class EntropyEngine:
             bit_accuracies=None if self._uniform is not None else np.empty(0),
         )
 
-    def _convolve_extension(
-        self, state: SelectionState, fact_id: str
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Channel tables ``(A_false, A_true)`` of ``T ∪ {fact_id}`` + its accuracy.
+    def _block_size(self, state: SelectionState) -> int:
+        """Candidates per scan block under :data:`_SCAN_BLOCK_MAX_ENTRIES`."""
+        footprint = max(self._masks.shape[0], self._num_cells << state.width)
+        return max(1, _SCAN_BLOCK_MAX_ENTRIES // footprint)
 
-        ``A_true[c, a]`` is the joint mass of cell ``c``, selected-answer
-        vector ``a`` and a "true" answer for the candidate; ``A_false``
-        likewise for a "false" answer.
+    def _score_block(
+        self, state: SelectionState, fact_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Entropies and answer tables of ``T ∪ {f}`` for a block of candidates.
+
+        Returns ``(H(T ∪ {f}), H(I, T ∪ {f}), A_false, A_true)``: two
+        ``(block,)`` entropy arrays and two ``(block, cells, 2^width)``
+        tables.  ``A_true[i, c, a]`` is the joint mass of cell ``c``,
+        selected-answer vector ``a`` and a "true" answer for candidate ``i``;
+        ``A_false`` likewise for a "false" answer.  Every step is elementwise
+        or reduces within one candidate's rows, so each candidate's floats are
+        independent of the rest of the block.
         """
         width = state.width
+        count = len(fact_ids)
+        stride = self._num_cells << width
+        if count == 1:
+            keys = state.combined
+            weights = self.weighted_bits(fact_ids[0])
+        else:
+            # Candidate i's rows land in bins [i·stride, (i+1)·stride), so one
+            # bincount groups the whole block, each bin still summed in
+            # support order.
+            offsets = np.arange(0, count * stride, stride, dtype=np.int64)
+            keys = np.add.outer(offsets, state.combined).ravel()
+            weights = np.concatenate(
+                [self.weighted_bits(fact_id) for fact_id in fact_ids]
+            )
         grouped_true = np.bincount(
-            state.combined,
-            weights=self.weighted_bits(fact_id),
-            minlength=self._num_cells << width,
-        ).reshape(self._num_cells, 1 << width)
+            keys, weights=weights, minlength=count * stride
+        ).reshape(count * self._num_cells, 1 << width)
         if self._uniform is not None:
             channeled_true = bsc_transform_rows(grouped_true, width, self._uniform)
             accuracy = self._uniform
         else:
             channeled_true = channel_transform_rows(grouped_true, state.bit_accuracies)
-            accuracy = self.accuracy_for(fact_id)
+            accuracy = np.array(
+                [self.accuracy_for(fact_id) for fact_id in fact_ids]
+            ).reshape(count, 1, 1)
+        channeled_true = channeled_true.reshape(count, self._num_cells, 1 << width)
         # Linearity of the channel: Chan(grouped_false) = Chan(grouped) − Chan(grouped_true).
         # The subtraction can leave ~1e-16 negative residue; clamp it so the
-        # entropy kernel treats it as the zero it mathematically is.
+        # entropy reduction treats it as the zero it mathematically is.
         channeled_false = state.table - channeled_true
         np.maximum(channeled_false, 0.0, out=channeled_false)
         error = 1.0 - accuracy
-        answer_true = accuracy * channeled_true + error * channeled_false
-        answer_false = error * channeled_true + accuracy * channeled_false
-        return answer_false, answer_true, accuracy
+        answers = np.empty((2,) + channeled_true.shape)
+        np.add(error * channeled_true, accuracy * channeled_false, out=answers[0])
+        np.add(accuracy * channeled_true, error * channeled_false, out=answers[1])
+        per_answer = _row_entropies(answers.reshape(2, count, stride))
+        joint_entropies = per_answer[0] + per_answer[1]
+        if self._num_cells == 1:
+            return joint_entropies, joint_entropies, answers[0], answers[1]
+        per_answer = _row_entropies(answers.sum(axis=2))
+        return per_answer[0] + per_answer[1], joint_entropies, answers[0], answers[1]
 
-    def extension_entropies(
+    def _fused_entropies(
         self, state: SelectionState, fact_id: str
     ) -> Tuple[float, float]:
-        """Return ``(H(T ∪ {f}), H(I, T ∪ {f}))`` without mutating the state."""
-        self.evaluations += 1
-        scan = self._kernels.extension_scan
-        if scan is not None:
-            # The fused tiers (compiled / reference) run the whole pipeline —
-            # masked grouping, channel butterflies, candidate channel, both
-            # entropies — as one kernel call with no temporary tables.
-            if self._uniform is not None:
-                uniform_accuracy = self._uniform
-                candidate_accuracy = self._uniform
-                bit_accuracies = _NO_BIT_ACCURACIES
-            else:
-                uniform_accuracy = -1.0
-                candidate_accuracy = self.accuracy_for(fact_id)
-                bit_accuracies = state.bit_accuracies
-            task_entropy, joint_entropy = scan(
-                state.combined,
-                self.bits(fact_id),
-                self._probabilities,
-                state.table.reshape(-1),
-                self._num_cells,
-                state.width,
-                bit_accuracies,
-                uniform_accuracy,
-                candidate_accuracy,
-            )
-            return float(task_entropy), float(joint_entropy)
-        answer_false, answer_true, _ = self._convolve_extension(state, fact_id)
-        joint_entropy = entropy_bits(answer_false) + entropy_bits(answer_true)
-        if self._num_cells == 1:
-            return joint_entropy, joint_entropy
-        task_entropy = entropy_bits(answer_false.sum(axis=0)) + entropy_bits(
-            answer_true.sum(axis=0)
+        """``(H(T ∪ {f}), H(I, T ∪ {f}))`` from the tier's fused scan kernel.
+
+        The fused tiers (compiled / reference) run the whole pipeline —
+        masked grouping, channel butterflies, candidate channel, both
+        entropies — as one kernel call with no temporary tables.
+        """
+        if self._uniform is not None:
+            uniform_accuracy = self._uniform
+            candidate_accuracy = self._uniform
+            bit_accuracies = _NO_BIT_ACCURACIES
+        else:
+            uniform_accuracy = -1.0
+            candidate_accuracy = self.accuracy_for(fact_id)
+            bit_accuracies = state.bit_accuracies
+        task_entropy, joint_entropy = self._kernels.extension_scan(
+            state.combined,
+            self.bits(fact_id),
+            self._probabilities,
+            state.table.reshape(-1),
+            self._num_cells,
+            state.width,
+            bit_accuracies,
+            uniform_accuracy,
+            candidate_accuracy,
         )
-        return task_entropy, joint_entropy
+        return float(task_entropy), float(joint_entropy)
 
-    def extension_entropy(self, state: SelectionState, fact_id: str) -> float:
-        """Answer-set entropy ``H(T ∪ {f})`` of extending the state by one task."""
-        return self.extension_entropies(state, fact_id)[0]
+    def scan(self, state: SelectionState, fact_ids: Sequence[str]) -> CandidateScan:
+        """Score ``H(T ∪ {f})`` and ``H(I, T ∪ {f})`` for every candidate ``f``.
 
-    def extend(self, state: SelectionState, fact_id: str) -> SelectionState:
-        """Commit ``fact_id`` into the state, refining the cached partition."""
+        The numpy tier scores the candidates in blocks of a fixed number of
+        NumPy calls each (see :meth:`_score_block`), blocks sized under
+        :data:`_SCAN_BLOCK_MAX_ENTRIES`; the fused tiers loop their
+        per-candidate kernel.  The state is not mutated.  Adds one to
+        :attr:`evaluations` per candidate.
+        """
+        fact_ids = tuple(fact_ids)
+        self.evaluations += len(fact_ids)
+        entropies: List[float] = []
+        joint_entropies: List[float] = []
+        blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        if self._kernels.extension_scan is not None:
+            for fact_id in fact_ids:
+                task_entropy, joint_entropy = self._fused_entropies(state, fact_id)
+                entropies.append(task_entropy)
+                joint_entropies.append(joint_entropy)
+            return CandidateScan(state, fact_ids, entropies, joint_entropies, blocks)
+        block = self._block_size(state)
+        kept = 0
+        for start in range(0, len(fact_ids), block):
+            task, joint, answer_false, answer_true = self._score_block(
+                state, fact_ids[start:start + block]
+            )
+            entropies.extend(task.tolist())
+            joint_entropies.extend(joint.tolist())
+            kept += 2 * answer_false.size
+            if kept <= _SCAN_BLOCK_MAX_ENTRIES:
+                blocks.append((start, answer_false, answer_true))
+        return CandidateScan(state, fact_ids, entropies, joint_entropies, blocks)
+
+    def extend(
+        self,
+        state: SelectionState,
+        fact_id: str,
+        scan: Optional[CandidateScan] = None,
+    ) -> SelectionState:
+        """Commit ``fact_id`` into the state, refining the cached partition.
+
+        ``scan`` — the :meth:`scan` of ``state`` that ranked ``fact_id`` —
+        supplies the new answer tables and entropies; without it (or when the
+        scan kept no tables for ``fact_id``) the candidate is scored as a
+        block of one, which yields the identical floats.  Either way the
+        commit adds nothing to :attr:`evaluations`.
+        """
         width = state.width + 1
         if width > _MAX_TASK_BITS or (self._num_cells << width) > _MAX_TABLE_ENTRIES:
             raise SelectionError(
@@ -523,19 +669,22 @@ class EntropyEngine:
                 f"or {_MAX_TASK_BITS} tasks ({self._num_cells} cells x 2^{width} "
                 "answer vectors)"
             )
-        answer_false, answer_true, accuracy = self._convolve_extension(state, fact_id)
+        scored = None
+        if scan is not None:
+            if scan.state is not state:
+                raise SelectionError(
+                    "extend() was handed a scan of a different selection state"
+                )
+            scored = scan.extension(fact_id)
+        if scored is None:
+            task, joint, answer_false, answer_true = self._score_block(state, (fact_id,))
+            scored = (answer_false[0], answer_true[0], float(task[0]), float(joint[0]))
+        answer_false, answer_true, task_entropy, joint_entropy = scored
         table = np.empty((self._num_cells, 1 << width))
         # The new task takes the least significant answer bit, matching the
         # projection refinement below.
         table[:, 0::2] = answer_false
         table[:, 1::2] = answer_true
-        joint_entropy = entropy_bits(answer_false) + entropy_bits(answer_true)
-        if self._num_cells == 1:
-            task_entropy = joint_entropy
-        else:
-            task_entropy = entropy_bits(answer_false.sum(axis=0)) + entropy_bits(
-                answer_true.sum(axis=0)
-            )
         refine = self._kernels.refine_partition
         if refine is not None:
             # Integer-only fused refinement — bit-identical to the two
@@ -549,7 +698,9 @@ class EntropyEngine:
         if state.bit_accuracies is None:
             bit_accuracies = None
         else:
-            bit_accuracies = np.concatenate(([accuracy], state.bit_accuracies))
+            bit_accuracies = np.concatenate(
+                ([self.accuracy_for(fact_id)], state.bit_accuracies)
+            )
         return SelectionState(
             task_ids=state.task_ids + (fact_id,),
             width=width,

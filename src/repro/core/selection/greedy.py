@@ -6,11 +6,13 @@ achieves a ``(1 − 1/e)`` approximation of the optimum (Nemhauser et al.).
 The selector stops early (``K* < k``) when no candidate yields a positive
 gain, exactly as lines 5–6 of Algorithm 1 prescribe.
 
-All greedy variants share :func:`run_greedy_on_engine`, one scan loop over a
-vectorized incremental :class:`~repro.core.selection.engine.EntropyEngine`;
-they differ only in whether the Theorem-3 pruning rule is applied, and in
-whether the engine is built fresh (:func:`run_engine_greedy`) or borrowed
-warm from a :class:`~repro.core.selection.session.RefinementSession`.  The
+All greedy variants share :func:`run_greedy_on_engine`, which scores each
+iteration's candidates in one batched scan of a vectorized incremental
+:class:`~repro.core.selection.engine.EntropyEngine` and commits the winner
+from that scan's tables; they differ only in whether the Theorem-3 pruning
+rule is applied, and in whether the engine is built fresh
+(:func:`run_engine_greedy`) or borrowed warm from a
+:class:`~repro.core.selection.session.RefinementSession`.  The
 historical per-candidate-from-scratch implementation survives as
 :class:`~repro.core.selection.reference.ReferenceGreedySelector`.
 
@@ -35,7 +37,7 @@ from repro.core.selection.base import (
     SelectionStats,
     TaskSelector,
 )
-from repro.core.selection.engine import EntropyEngine
+from repro.core.selection.engine import CandidateScan, EntropyEngine
 from repro.core.selection.parallel import ParallelSelectorMixin, PooledEvaluator
 from repro.core.utility import crowd_entropy
 
@@ -61,12 +63,14 @@ def run_greedy_on_engine(
     task" detect certainty (Theorem 2: the net gain is positive exactly while
     an uncertain fact remains).
 
-    When a :class:`PooledEvaluator` is supplied, each iteration's candidate
-    entropies may be computed by its worker pool (the evaluator's policy
-    decides per scan; small scans stay in process).  The ranking below runs
-    over one entropy per candidate *in candidate order* either way, so the
-    selected set, the tie-breaking and the pruning decisions are bit-for-bit
-    those of the serial path.
+    Each iteration scores every active candidate in one
+    :meth:`EntropyEngine.scan`.  When a :class:`PooledEvaluator` is supplied,
+    the entropies may instead be computed by its worker pool (the
+    evaluator's policy decides per scan; small scans stay in process).  The
+    ranking below runs over one entropy per candidate *in candidate order*
+    either way, and a candidate's scanned entropy does not depend on the
+    block it was scored in, so the selected set, the tie-breaking and the
+    pruning decisions are bit-for-bit those of the serial path.
     """
     stats = SelectionStats(kernel=engine.kernel_tier)
     state = engine.initial_state()
@@ -84,13 +88,13 @@ def run_greedy_on_engine(
             stats.pruned_candidates += len(remaining) - len(active)
         else:
             active = remaining
+        scan: Optional[CandidateScan] = None
         entropies: Optional[List[float]] = None
         if evaluator is not None:
             entropies = evaluator.evaluate(state, active)
         if entropies is None:
-            entropies = [
-                engine.extension_entropy(state, fact_id) for fact_id in active
-            ]
+            scan = engine.scan(state, active)
+            entropies = scan.entropies
         stats.candidate_evaluations += len(active)
         if state.width:
             # Every evaluation past the first iteration reuses the cached
@@ -129,7 +133,7 @@ def run_greedy_on_engine(
         if gain <= GAIN_TOLERANCE:
             # No candidate improves the expected utility: stop with K* < k.
             break
-        state = engine.extend(state, best_id)
+        state = engine.extend(state, best_id, scan)
         remaining.remove(best_id)
         if not remaining:
             break

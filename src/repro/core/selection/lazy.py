@@ -25,18 +25,20 @@ Heterogeneous channels fold the per-task noise into the tracked gain itself
 still bounded by one bit), so the CELF bound logic is unchanged; uniform
 models keep the original raw-gain arithmetic bit-for-bit.
 
-With a :class:`~repro.core.selection.parallel.PooledEvaluator` the refresh
-loop runs in **waves**: instead of popping one stale entry at a time, a batch
-of entries whose bounds clear the current cut-off is popped together and
-scored through the evaluator's worker pool.  Waves may refresh a few more
-candidates than the strictly sequential loop (the cut-off only tightens as
-results come back), but the *selection* is provably unchanged: any candidate
-the sequential loop would have left stale has ``bound < best − 2·tol``, and
-since its true gain is bounded by that stale bound it can neither win the
-first-index-wins re-rank nor block another candidate.  The stopping rule —
-every remaining stale bound below the best refreshed gain minus the margin —
-is the same in both forms, so the same winner (and the same tie behaviour)
-falls out of the same re-rank, with the refresh work sharded across cores.
+The refresh loop runs in **waves**: instead of popping one stale entry at a
+time, a batch of entries whose bounds clear the current cut-off is popped
+together and scored in one batched engine scan — waves double (1, 2, 4, …)
+in process, and are pool-sized when a
+:class:`~repro.core.selection.parallel.PooledEvaluator` would shard them
+across its workers.  Waves may refresh a few more candidates than the
+strictly sequential loop (the cut-off only tightens as results come back),
+but the *selection* is provably unchanged: any candidate the sequential loop
+would have left stale has ``bound < best − 2·tol``, and since its true gain
+is bounded by that stale bound it can neither win the first-index-wins
+re-rank nor block another candidate.  The stopping rule — every remaining
+stale bound below the best refreshed gain minus the margin — is the same in
+both forms, so the same winner (and the same tie behaviour) falls out of the
+same re-rank, with far fewer scan calls.
 
 Like the other greedy variants, the scan runs on a vectorized incremental
 engine that may be built fresh per call or borrowed warm from a
@@ -47,7 +49,7 @@ pool, when configured, also serves the refresh waves).
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
@@ -57,7 +59,7 @@ from repro.core.selection.base import (
     SelectionStats,
     TaskSelector,
 )
-from repro.core.selection.engine import EntropyEngine, SelectionState
+from repro.core.selection.engine import CandidateScan, EntropyEngine, SelectionState
 from repro.core.selection.greedy import GAIN_TOLERANCE
 from repro.core.selection.parallel import ParallelSelectorMixin, PooledEvaluator
 from repro.core.utility import crowd_entropy
@@ -68,66 +70,48 @@ from repro.core.utility import crowd_entropy
 _INITIAL_GAIN_BOUND = 1.0
 
 
-def _refresh_sequential(
-    engine: EntropyEngine,
-    state: SelectionState,
-    heap: List[tuple],
-    stats: SelectionStats,
-    uniform: Optional[float],
-) -> List[list]:
-    """The original one-pop-at-a-time CELF refresh loop for one iteration."""
-    refreshed: List[list] = []
-    best_gain = float("-inf")
-
-    # Refresh until every remaining stale bound sits below the best
-    # fresh gain: those candidates cannot win this iteration, and by
-    # submodularity never need a look.  The 2x tolerance margin also
-    # refreshes would-be interim tie-blockers of plain greedy's scan,
-    # keeping the re-ranking below faithful to it.
-    while heap and -heap[0][0] >= best_gain - 2 * TIE_TOLERANCE:
-        _stale, index, fact_id = heapq.heappop(heap)
-        stats.candidate_evaluations += 1
-        if state.width:
-            stats.cache_hits += 1
-        gain = engine.extension_entropy(state, fact_id) - state.entropy
-        if uniform is None:
-            gain -= engine.noise_entropy(fact_id)
-        refreshed.append([gain, index, fact_id])
-        if gain > best_gain:
-            best_gain = gain
-    return refreshed
-
-
 def _refresh_waves(
     engine: EntropyEngine,
     state: SelectionState,
     heap: List[tuple],
     stats: SelectionStats,
     uniform: Optional[float],
-    evaluator: PooledEvaluator,
-) -> List[list]:
-    """Batch-refresh CELF: pop stale entries in waves, score them in parallel.
+    evaluator: Optional[PooledEvaluator],
+) -> Tuple[List[list], Dict[str, CandidateScan]]:
+    """One iteration's CELF refresh: pop stale entries in waves, score each wave.
 
-    Each wave pops up to :meth:`PooledEvaluator.refresh_batch_size` entries
-    whose stale bounds clear the *current* cut-off and scores the whole batch
-    through the evaluator.  A wave may overshoot the strictly sequential
-    refresh set (the cut-off only tightens as results come back); see the
-    module docstring for why the selection is unchanged.  Overshoot is only
-    accepted when it buys parallelism: a wave the policy would score
-    in-process anyway (too little work left, small support) is popped one
-    entry at a time, which *is* the sequential loop — so below the parallel
-    threshold CELF's lazy savings are fully preserved.
+    Each wave pops the entries whose stale bounds clear the *current* cut-off,
+    up to the wave size, and scores them in one batched engine scan.  Waves
+    double (1, 2, 4, …): an iteration whose first refresh already settles the
+    winner scores one candidate, as the one-pop-at-a-time loop would, while a
+    long refresh run costs a logarithmic number of scans.  When the
+    evaluator's pool would engage, waves are pool-sized
+    (:meth:`PooledEvaluator.refresh_batch_size`) and scored by the workers.
+    A wave may overshoot the strictly sequential refresh set (the cut-off only
+    tightens as results come back); see the module docstring for why the
+    selection is unchanged.
+
+    Returns the refreshed ``[gain, index, fact_id]`` entries and, for every
+    candidate scored in process, the scan that scored it (so the winner can
+    be committed from its tables).
     """
     refreshed: List[list] = []
+    scans: Dict[str, CandidateScan] = {}
     best_gain = float("-inf")
-    wave_size = evaluator.refresh_batch_size()
+    wave_size = 1
+    pool_wave_size = evaluator.refresh_batch_size() if evaluator is not None else 0
 
+    # Refresh until every remaining stale bound sits below the best
+    # fresh gain: those candidates cannot win this iteration, and by
+    # submodularity never need a look.  The 2x tolerance margin also
+    # refreshes would-be interim tie-blockers of plain greedy's scan,
+    # keeping the re-ranking faithful to it.
     while heap and -heap[0][0] >= best_gain - 2 * TIE_TOLERANCE:
-        cap = (
-            wave_size
-            if evaluator.would_parallelise(min(wave_size, len(heap)))
-            else 1
+        pooled = evaluator is not None and evaluator.would_parallelise(
+            min(pool_wave_size, len(heap))
         )
+        cap = pool_wave_size if pooled else wave_size
+        wave_size *= 2
         batch: List[Tuple[int, str]] = []
         while (
             heap
@@ -137,11 +121,11 @@ def _refresh_waves(
             _stale, index, fact_id = heapq.heappop(heap)
             batch.append((index, fact_id))
         fact_ids = [fact_id for _, fact_id in batch]
-        entropies = evaluator.evaluate(state, fact_ids)
+        entropies = evaluator.evaluate(state, fact_ids) if pooled else None
         if entropies is None:
-            entropies = [
-                engine.extension_entropy(state, fact_id) for fact_id in fact_ids
-            ]
+            scan = engine.scan(state, fact_ids)
+            entropies = scan.entropies
+            scans.update(dict.fromkeys(fact_ids, scan))
         stats.candidate_evaluations += len(batch)
         if state.width:
             stats.cache_hits += len(batch)
@@ -152,7 +136,7 @@ def _refresh_waves(
             refreshed.append([gain, index, fact_id])
             if gain > best_gain:
                 best_gain = gain
-    return refreshed
+    return refreshed, scans
 
 
 def run_lazy_greedy_on_engine(
@@ -178,10 +162,9 @@ def run_lazy_greedy_on_engine(
 
     for _iteration in range(k):
         stats.iterations += 1
-        if evaluator is None:
-            refreshed = _refresh_sequential(engine, state, heap, stats, uniform)
-        else:
-            refreshed = _refresh_waves(engine, state, heap, stats, uniform, evaluator)
+        refreshed, scans = _refresh_waves(
+            engine, state, heap, stats, uniform, evaluator
+        )
         stats.skipped_evaluations += len(heap)
 
         # Re-rank the refreshed candidates exactly like plain greedy's
@@ -203,7 +186,7 @@ def run_lazy_greedy_on_engine(
         net_gain = best_score - state.entropy - uniform_noise
         if net_gain <= GAIN_TOLERANCE:
             break
-        state = engine.extend(state, best_id)
+        state = engine.extend(state, best_id, scans.get(best_id))
         if not heap:
             break
 

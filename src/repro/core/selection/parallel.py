@@ -2,11 +2,11 @@
 
 One greedy iteration of Algorithm 1 scores every remaining candidate against
 the same :class:`~repro.core.selection.engine.EntropyEngine` state — a pure
-read-only array pass per candidate (one grouped ``np.bincount`` plus one
-channel transform), with no shared mutable state.  That makes the candidate
-scan embarrassingly parallel, and on scale corpora (supports past ``2^20``,
-hundreds of candidate facts) the scan is the system bottleneck the paper's
-Table V measures.
+read-only batched array pass (one grouped ``np.bincount`` plus one channel
+transform per block of candidates), with no shared mutable state.  That makes
+the candidate scan embarrassingly parallel, and on scale corpora (supports
+past ``2^20``, hundreds of candidate facts) the scan is the system bottleneck
+the paper's Table V measures.
 
 This module shards the scan across one ``multiprocessing`` pool, the
 :class:`EvaluatorPool`, which any number of engines share:
@@ -29,10 +29,11 @@ This module shards the scan across one ``multiprocessing`` pool, the
   is exactly the float the serial scan would have produced.
 * **Chunked dispatch with an auto-serial policy** — candidates are dispatched
   in order-preserving chunks (several per worker, for load balance), and a
-  :class:`ParallelPolicy` decides per iteration whether parallelism pays at
-  all: below a work threshold (candidates × support rows) the evaluator
-  reports "serial" and the caller runs the ordinary in-process scan, so
-  small Table-V-sized rounds never pay the fork or IPC overhead.
+  :class:`ParallelPolicy` decides whether parallelism pays at all: below a
+  work threshold (candidates × support rows) the caller runs the ordinary
+  in-process scan, so small Table-V-sized rounds never pay the fork or IPC
+  overhead.  Later scans of a selection only shrink, so a selection whose
+  first scan stays under the threshold skips the evaluator altogether.
 * **One fork per run, not per round** — the pool survives every
   ``EntropyEngine.reweight``: each engine owns a
   :class:`multiprocessing.shared_memory` ring of probability snapshots
@@ -65,6 +66,7 @@ those values.
 from __future__ import annotations
 
 import atexit
+import functools
 import logging
 import math
 import multiprocessing
@@ -133,8 +135,13 @@ _WORKER_STATES: Dict[int, SelectionState] = {}
 _FORK_PUBLISH_LOCK = threading.Lock()
 
 
+@functools.lru_cache(maxsize=None)
 def fork_available() -> bool:
-    """Whether this platform can share engine state via the ``fork`` method."""
+    """Whether this platform can share engine state via the ``fork`` method.
+
+    Cached: the platform's start methods never change within a process, and
+    the pool policy asks before every selection and every pooled scan.
+    """
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -486,7 +493,7 @@ def _score_chunk(
     for fact_id in task_ids[state.width:]:
         state = engine.extend(state, fact_id)
     _WORKER_STATES[engine_id] = state
-    return [engine.extension_entropy(state, fact_id) for fact_id in chunk]
+    return engine.scan(state, chunk).entropies
 
 
 def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
@@ -969,6 +976,11 @@ class ParallelSelectorMixin:
     its session-path selections run through the session's
     ``shared_evaluator()`` when the session has one, and serially otherwise.
 
+    The auto-serial decision is made once per selection: every scan of a
+    selection scores a subset of its candidates, so when the full candidate
+    list stays under the policy's threshold no later scan can cross it, and
+    the selection runs without touching the evaluator (or its lock).
+
     The per-selection ``SelectionStats`` report only what *this* selection
     used: the evaluator's cumulative counters span many selections, so they
     are differenced around the call, and a call whose scans all stayed under
@@ -978,7 +990,7 @@ class ParallelSelectorMixin:
 
     def _select_with_session(self, session, k, candidates) -> SelectionResult:
         evaluator = session.shared_evaluator()
-        if evaluator is None:
+        if evaluator is None or not evaluator.would_parallelise(len(candidates)):
             return self._runner(session.engine, k, candidates, None)
         before = evaluator.parallel_evaluations
         result = self._runner(session.engine, k, candidates, evaluator)

@@ -13,9 +13,9 @@ non-interest fact can reduce the entropy of the interest set, which is the
 whole point of the extension.
 
 The scan runs on the shared vectorized engine with the support additionally
-partitioned into facts-of-interest cells, so each candidate costs one grouped
-sum and one channel pass per cell — both ``H(T ∪ {f})`` and ``H(I, T ∪ {f})``
-fall out of the same cached table.  The channels may be heterogeneous (the
+partitioned into facts-of-interest cells: one batched engine scan per
+iteration groups and channels every candidate's per-cell tables at once, and
+both ``H(T ∪ {f})`` and ``H(I, T ∪ {f})`` fall out of the same tables.  The channels may be heterogeneous (the
 conditional-utility objective already absorbs per-task noise, so no ranking
 adjustment is needed), and a :class:`~repro.core.selection.session.RefinementSession`
 built with the same facts of interest lends its warm engine across rounds.
@@ -85,11 +85,13 @@ class QueryGreedySelector(TaskSelector):
             stats.iterations += 1
             best_id = None
             best_utility = float("-inf")
-            for fact_id in remaining:
-                stats.candidate_evaluations += 1
-                if state.width:
-                    stats.cache_hits += 1
-                task_entropy, joint_entropy = engine.extension_entropies(state, fact_id)
+            scan = engine.scan(state, remaining)
+            stats.candidate_evaluations += len(remaining)
+            if state.width:
+                stats.cache_hits += len(remaining)
+            for fact_id, task_entropy, joint_entropy in zip(
+                remaining, scan.entropies, scan.joint_entropies
+            ):
                 utility = task_entropy - joint_entropy
                 if utility > best_utility + TIE_TOLERANCE:
                     best_utility = utility
@@ -99,7 +101,7 @@ class QueryGreedySelector(TaskSelector):
             gain = best_utility - current_utility
             if gain <= GAIN_TOLERANCE:
                 break
-            state = engine.extend(state, best_id)
+            state = engine.extend(state, best_id, scan)
             remaining.remove(best_id)
             current_utility = state.entropy - state.joint_entropy
             if not remaining:

@@ -93,7 +93,7 @@ class TestEntropyEquivalence:
         state = engine.initial_state()
         selected = []
         for fact_id in dist.fact_ids[:4]:
-            incremental = engine.extension_entropy(state, fact_id)
+            incremental = engine.scan(state, [fact_id]).entropies[0]
             one_shot = engine.task_entropy(selected + [fact_id])
             reference = reference_task_entropy(crowd, dist, selected + [fact_id])
             assert incremental == pytest.approx(one_shot, abs=1e-9)
@@ -198,12 +198,16 @@ class TestEngineInternals:
         assert state.entropy == 0.0
 
     def test_evaluation_counter_increments(self):
-        dist = JointDistribution.independent({"a": 0.3, "b": 0.6})
+        dist = JointDistribution.independent({"a": 0.3, "b": 0.6, "c": 0.5})
         engine = EntropyEngine(dist, CrowdModel(0.8))
         state = engine.initial_state()
-        engine.extension_entropy(state, "a")
+        scan = engine.scan(state, ["a", "b", "c"])
+        assert engine.evaluations == 3
+        engine.extend(state, "a", scan)
+        engine.extend(state, "b")
+        assert engine.evaluations == 3
         engine.task_entropy(["a", "b"])
-        assert engine.evaluations == 2
+        assert engine.evaluations == 4
 
     def test_state_table_masses_sum_to_one(self):
         dist = JointDistribution.independent({"a": 0.3, "b": 0.6, "c": 0.5})

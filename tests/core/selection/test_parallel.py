@@ -189,7 +189,7 @@ class TestParallelEquivalence:
         reference_engine = EntropyEngine(dist, crowd)
         reference_state = reference_engine.initial_state()
         expected = [
-            reference_engine.extension_entropy(reference_state, fact_id)
+            reference_engine.scan(reference_state, [fact_id]).entropies[0]
             for fact_id in candidates
         ]
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)

@@ -391,9 +391,9 @@ class TestParallelLazyGreedy:
         assert_histories_match(serial, persistent)
 
     def test_below_threshold_waves_degenerate_to_sequential_stats(self):
-        """With the pool elected off, the wave loop must not change *anything*:
-        below the threshold waves cap at one pop, so even the lazy skip
-        counts match the sequential heap exactly (CELF savings preserved)."""
+        """With the pool elected off, the session must not change *anything*:
+        a selection under the threshold never touches the pool, so even the
+        lazy skip counts match the plain serial selector exactly."""
         dist = dense_distribution(10, 128, seed=11)
         crowd = CrowdModel(0.8)
         serial = LazyGreedySelector().select(dist, crowd, 4)
