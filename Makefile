@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-smoke bench-compiled-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke
+.PHONY: test bench bench-smoke engine-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke
 
 # Tier-1 suite: the fast default (excludes the slow 2^20-support scenarios).
 test:
@@ -35,20 +35,17 @@ bench-smoke:
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "parallel and not slow" \
 		benchmarks/bench_selection_hotpath.py -k session_pool_smoke
 
-# CI-sized exercise of the kernel ladder and the packed wide-fact
-# representation: unit + property suites for the bit planes and the kernel
-# registry, the cross-tier selection-equivalence suite, the batched-scan
-# differential suite (numpy tier vs. the per-candidate oracle, block
-# independence), and the CI-sized compiled/wide-fact benchmark scenarios.
-# On hosts without numba the compiled-tier cases skip (never fail) and the
-# numpy/reference tiers still run, so the target is green everywhere.
-bench-compiled-smoke:
+# CI-sized exercise of the entropy engine's candidate scan and the packed
+# wide-fact representation: unit + property suites for the bit planes, the
+# wide-fact refinement suite (packed planes vs. the object-dtype engine), the
+# batched-scan differential suite (the scan vs. the per-candidate NumPy and
+# scalar oracles, block independence), and the wide_facts benchmark scenario.
+engine-smoke:
 	$(PYTEST) -q \
 		tests/core/test_bitplanes.py \
-		tests/core/test_kernels.py \
-		tests/core/selection/test_kernel_equivalence.py \
+		tests/core/selection/test_wide_facts.py \
 		tests/core/selection/test_batched_scan.py
-	$(PYTEST) -q benchmarks/bench_compiled_kernels.py -k "smoke or wide_facts"
+	$(PYTEST) -q benchmarks/bench_wide_facts.py
 
 # The fault-injection chaos suite: worker kills mid-scan, hung dispatches,
 # corrupted generation headers, merge crashes mid-batch, dropped client

@@ -149,9 +149,9 @@ def _migrate_legacy(artifact: dict) -> dict:
         for row in legacy_session.get("scenarios", []):
             key = f"session/n{row['num_facts']}_s{row['support']}_k{row['k']}"
             migrated[key] = dict(row, suite="session")
-    # Schema v3: every scenario row carries the kernel tier its engine-path
-    # timings ran on.  Rows recorded before the field existed predate the
-    # compiled tier and therefore ran the numpy kernels.
+    # Schema v3: every scenario row carries the scan implementation its
+    # engine-path timings ran on.  Rows recorded before the field existed ran
+    # the numpy scan.
     for row in migrated.values():
         row.setdefault("kernel", "numpy")
     return {
@@ -172,9 +172,8 @@ def _load_artifact() -> dict:
 def _record_scenarios(entries: dict) -> dict:
     """Merge-append ``entries`` (scenario id -> row) into the shared artifact.
 
-    Rows that do not state their kernel tier are stamped with the host's
-    auto-resolved tier — the tier every engine built in this process actually
-    ran on (schema v3).
+    Rows that do not state their ``kernel`` are stamped with the scan
+    implementation every engine runs (schema v3; always ``numpy`` since 3.0).
     """
     artifact = _load_artifact()
     for row in entries.values():

@@ -1,14 +1,15 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package's only build configuration.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments where build isolation cannot download setuptools/wheel.
+There is no ``pyproject.toml``, so ``pip install -e .`` builds with the
+installed setuptools and works in offline environments where build
+isolation cannot download setuptools/wheel.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="2.0.0",
+    version="3.0.0",
     description=(
         "CrowdFusion: a crowdsourced approach on data fusion refinement "
         "(ICDE 2017) — full reproduction"
@@ -19,8 +20,6 @@ setup(
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
     extras_require={
         "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
-        # Opt-in compiled kernel tier; everything degrades to numpy without it.
-        "compiled": ["numba>=0.58"],
     },
     entry_points={"console_scripts": ["crowdfusion = repro.cli:main"]},
 )

@@ -22,7 +22,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core import CrowdFusionEngine, CrowdModel, pws_quality
-from repro.core.kernels import KERNEL_CHOICES
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import available_selectors, get_selector
 from repro.crowdsim import SimulatedPlatform, WorkerPool
@@ -131,12 +130,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "entity's complete refinement trajectory; curves are identical to "
         "the serial loop); mutually exclusive with --workers",
     )
-    parser.add_argument(
-        "--kernel", default="auto", choices=list(KERNEL_CHOICES),
-        help="entropy kernel tier: 'auto' uses the numba-compiled kernels "
-        "when numba is importable and falls back to numpy otherwise; "
-        "'reference' runs the uncompiled kernel bodies (debugging)",
-    )
 
 
 def _make_corpus(args: argparse.Namespace):
@@ -234,7 +227,6 @@ def _sweep_setup(args: argparse.Namespace):
             parallel_threshold=args.parallel_threshold,
             recalibrate=args.recalibrate,
             parallel_entities=args.parallel_entities,
-            kernel=args.kernel,
         ),
     )
     budgets = None
@@ -326,8 +318,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         extras += f", {args.parallel_entities} entity workers"
     if args.recalibrate:
         extras += ", recalibrating"
-    if args.kernel != "auto":
-        extras += f", kernel {args.kernel}"
     if report is not None:
         extras += (
             f", run dir {report.run_dir} ({report.completed} done, "
@@ -408,7 +398,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             parallel_threshold=args.parallel_threshold,
             dispatch_timeout_ms=args.dispatch_timeout_ms,
             max_rebuilds=args.max_rebuilds,
-            kernel=args.kernel,
         )
     except CrowdFusionError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -599,11 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive crashed dispatches the pool supervisor absorbs "
         "before the circuit breaker degrades the pool to serial scans "
         "(default: 2)",
-    )
-    serve.add_argument(
-        "--kernel", default="auto", choices=list(KERNEL_CHOICES),
-        help="entropy kernel tier for every tenant's engine (auto: compiled "
-        "when numba is importable, numpy otherwise)",
     )
     serve.add_argument(
         "--max-pending", type=_positive_int, default=8, metavar="N",

@@ -154,7 +154,7 @@ class CrowdFusionEngine:
         ``parallel`` is not, the policy is derived from the runtime options.
     runtime:
         Typed :class:`~repro.core.runtime.RuntimeOptions` carrying the
-        execution knobs (workers, re-calibration, kernel tier) in one
+        execution knobs (workers, re-calibration, pool supervision) in one
         validated object.
     """
 

@@ -37,12 +37,6 @@ The fields mean the same thing everywhere:
 ``max_rebuilds``
     Consecutive crashed dispatches the pool supervisor absorbs before its
     circuit breaker degrades the affected engine(s) to serial evaluation.
-``kernel``
-    Kernel-tier request for the entropy engines the run constructs
-    (``auto``/``compiled``/``numpy``/``reference``; see
-    :mod:`repro.core.kernels`).  ``auto`` picks the compiled tier when numba
-    is importable and falls back to numpy otherwise; the ``REPRO_KERNEL``
-    environment variable overrides the auto choice.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.kernels import KERNEL_CHOICES
 from repro.core.selection.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
     ParallelPolicy,
@@ -77,13 +70,8 @@ class RuntimeOptions:
     parallel_entities: Optional[int] = None
     dispatch_timeout_ms: Optional[int] = None
     max_rebuilds: int = 2
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNEL_CHOICES:
-            raise CrowdFusionError(
-                f"kernel must be one of {KERNEL_CHOICES}, got {self.kernel!r}"
-            )
         if self.workers is not None and self.workers < 1:
             raise CrowdFusionError(
                 f"workers must be a positive integer, got {self.workers}"

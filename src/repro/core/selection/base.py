@@ -55,10 +55,6 @@ class SelectionStats:
     parallel_evaluations:
         Number of candidate evaluations served by pool workers rather than
         the selecting process (a subset of ``candidate_evaluations``).
-    kernel:
-        The resolved kernel tier (``compiled``/``numpy``/``reference``) the
-        engine scored candidates with — see :mod:`repro.core.kernels`.
-        Empty for selectors that never touch an entropy engine.
     """
 
     candidate_evaluations: int = 0
@@ -71,7 +67,6 @@ class SelectionStats:
     workers: int = 0
     chunk_size: int = 0
     parallel_evaluations: int = 0
-    kernel: str = ""
 
 
 @dataclass(frozen=True)

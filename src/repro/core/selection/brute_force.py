@@ -36,7 +36,7 @@ class BruteForceSelector(TaskSelector):
         candidates: Sequence[str],
     ) -> SelectionResult:
         engine = EntropyEngine(distribution, crowd)
-        stats = SelectionStats(kernel=engine.kernel_tier)
+        stats = SelectionStats()
         best_ids: tuple = ()
         best_entropy = float("-inf")
         for subset in itertools.combinations(candidates, k):

@@ -68,7 +68,6 @@ from repro.core.entropy import (
     entropy_bits,
     project_columns,
 )
-from repro.core.kernels import KernelSet, resolve_kernels, warmup
 from repro.core.utility import crowd_entropy
 from repro.exceptions import SelectionError
 
@@ -94,10 +93,6 @@ _WEIGHTED_CACHE_MAX_SUPPORT = 1 << 18
 #: one candidate at a time with exactly the arrays a single evaluation needs.
 #: The same cap bounds the answer tables a scan keeps for :meth:`extend`.
 _SCAN_BLOCK_MAX_ENTRIES = 1 << 20
-
-#: Placeholder passed to the fused scan kernels for uniform channel models
-#: (a kernel signature takes the per-bit accuracy vector unconditionally).
-_NO_BIT_ACCURACIES = np.empty(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,8 @@ class CandidateScan:
     ) -> Optional[Tuple[np.ndarray, np.ndarray, float, float]]:
         """``(A_false, A_true, H(T ∪ {f}), H(I, T ∪ {f}))`` of a scanned candidate.
 
-        ``None`` when the scan did not keep that candidate's tables (fused
-        kernel tiers keep none, oversized scans keep only what fits).
+        ``None`` when the scan did not keep that candidate's tables (an
+        oversized scan keeps only the blocks that fit).
         """
         index = self.fact_ids.index(fact_id)
         for start, answer_false, answer_true in self._blocks:
@@ -219,13 +214,6 @@ class EntropyEngine:
         Optional facts of interest.  When given, states additionally track
         ``H(I, T)`` so query-based utilities ``Q(I|T) = H(T) − H(I, T)`` come
         from the same cached table.
-    kernel:
-        Kernel-tier request resolved through
-        :func:`repro.core.kernels.resolve_kernels` — ``auto`` (the default;
-        env-overridable via ``REPRO_KERNEL``), ``compiled``, ``numpy`` or
-        ``reference``.  Selections are identical across tiers; the numpy
-        tier scores candidates in batched blocks, the compiled tier runs one
-        fused native call per candidate.
     packed:
         Support-mask layout override.  ``None`` (the default) keeps the
         ``int64`` column up to 63 facts and switches to packed uint64 bit
@@ -244,13 +232,11 @@ class EntropyEngine:
         distribution: JointDistribution,
         crowd: ChannelModel,
         interest_ids: Optional[Sequence[str]] = None,
-        kernel: str = "auto",
         packed: Optional[bool] = None,
     ):
         self._distribution = distribution
         self._crowd = crowd
         self._uniform = crowd.uniform_accuracy
-        self._kernels: KernelSet = resolve_kernels(kernel)
         if packed is None:
             packed = distribution.num_facts > 63
         if packed:
@@ -322,20 +308,6 @@ class EntropyEngine:
         bit-plane array beyond (``shape[0]`` is the support size either way).
         """
         return self._masks
-
-    @property
-    def kernel_tier(self) -> str:
-        """The resolved kernel tier scoring this engine's candidate scans."""
-        return self._kernels.tier
-
-    def warmup_kernels(self) -> None:
-        """Force-compile this engine's kernel tier (no-op past the first call).
-
-        The parallel evaluators call this in the parent process immediately
-        before forking worker pools, so JIT compilation happens exactly once
-        and the workers inherit the machine code through copy-on-write.
-        """
-        warmup(self._kernels)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -427,7 +399,6 @@ class EntropyEngine:
         view._distribution = self._distribution
         view._crowd = self._crowd
         view._uniform = self._uniform
-        view._kernels = self._kernels
         view._masks = self._masks
         view._probabilities = self._probabilities
         # The bit columns are channel- and probability-independent, so the
@@ -585,56 +556,19 @@ class EntropyEngine:
         per_answer = _row_entropies(answers.sum(axis=2))
         return per_answer[0] + per_answer[1], joint_entropies, answers[0], answers[1]
 
-    def _fused_entropies(
-        self, state: SelectionState, fact_id: str
-    ) -> Tuple[float, float]:
-        """``(H(T ∪ {f}), H(I, T ∪ {f}))`` from the tier's fused scan kernel.
-
-        The fused tiers (compiled / reference) run the whole pipeline —
-        masked grouping, channel butterflies, candidate channel, both
-        entropies — as one kernel call with no temporary tables.
-        """
-        if self._uniform is not None:
-            uniform_accuracy = self._uniform
-            candidate_accuracy = self._uniform
-            bit_accuracies = _NO_BIT_ACCURACIES
-        else:
-            uniform_accuracy = -1.0
-            candidate_accuracy = self.accuracy_for(fact_id)
-            bit_accuracies = state.bit_accuracies
-        task_entropy, joint_entropy = self._kernels.extension_scan(
-            state.combined,
-            self.bits(fact_id),
-            self._probabilities,
-            state.table.reshape(-1),
-            self._num_cells,
-            state.width,
-            bit_accuracies,
-            uniform_accuracy,
-            candidate_accuracy,
-        )
-        return float(task_entropy), float(joint_entropy)
-
     def scan(self, state: SelectionState, fact_ids: Sequence[str]) -> CandidateScan:
         """Score ``H(T ∪ {f})`` and ``H(I, T ∪ {f})`` for every candidate ``f``.
 
-        The numpy tier scores the candidates in blocks of a fixed number of
-        NumPy calls each (see :meth:`_score_block`), blocks sized under
-        :data:`_SCAN_BLOCK_MAX_ENTRIES`; the fused tiers loop their
-        per-candidate kernel.  The state is not mutated.  Adds one to
-        :attr:`evaluations` per candidate.
+        The candidates are scored in blocks of a fixed number of NumPy calls
+        each (see :meth:`_score_block`), blocks sized under
+        :data:`_SCAN_BLOCK_MAX_ENTRIES`.  The state is not mutated.  Adds one
+        to :attr:`evaluations` per candidate.
         """
         fact_ids = tuple(fact_ids)
         self.evaluations += len(fact_ids)
         entropies: List[float] = []
         joint_entropies: List[float] = []
         blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        if self._kernels.extension_scan is not None:
-            for fact_id in fact_ids:
-                task_entropy, joint_entropy = self._fused_entropies(state, fact_id)
-                entropies.append(task_entropy)
-                joint_entropies.append(joint_entropy)
-            return CandidateScan(state, fact_ids, entropies, joint_entropies, blocks)
         block = self._block_size(state)
         kept = 0
         for start in range(0, len(fact_ids), block):
@@ -685,16 +619,8 @@ class EntropyEngine:
         # projection refinement below.
         table[:, 0::2] = answer_false
         table[:, 1::2] = answer_true
-        refine = self._kernels.refine_partition
-        if refine is not None:
-            # Integer-only fused refinement — bit-identical to the two
-            # vectorized expressions below.
-            projection, combined = refine(
-                state.projection, self.bits(fact_id), self._cell_index, width
-            )
-        else:
-            projection = (state.projection << 1) | self.bits(fact_id)
-            combined = (self._cell_index << width) | projection
+        projection = (state.projection << 1) | self.bits(fact_id)
+        combined = (self._cell_index << width) | projection
         if state.bit_accuracies is None:
             bit_accuracies = None
         else:

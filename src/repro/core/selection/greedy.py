@@ -72,7 +72,7 @@ def run_greedy_on_engine(
     block it was scored in, so the selected set, the tie-breaking and the
     pruning decisions are bit-for-bit those of the serial path.
     """
-    stats = SelectionStats(kernel=engine.kernel_tier)
+    stats = SelectionStats()
     state = engine.initial_state()
     remaining = list(candidates)
     pruned: Set[str] = set()

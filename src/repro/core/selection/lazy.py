@@ -146,7 +146,7 @@ def run_lazy_greedy_on_engine(
     evaluator: Optional[PooledEvaluator] = None,
 ) -> SelectionResult:
     """Algorithm 1 with CELF lazy evaluation, on a (possibly warm) engine."""
-    stats = SelectionStats(kernel=engine.kernel_tier)
+    stats = SelectionStats()
     state = engine.initial_state()
     uniform = engine.uniform_accuracy
     uniform_noise = crowd_entropy(uniform) if uniform is not None else 0.0

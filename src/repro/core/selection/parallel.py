@@ -743,10 +743,7 @@ class EvaluatorPool:
         self.workers = self._policy.resolved_workers()
         for attachment in self._attachments.values():
             # Workers inherit each engine's current posterior and channel;
-            # reset the generation baselines the headers diff against.  The
-            # kernel warmup runs pre-fork for the same copy-on-write reason:
-            # compiled tiers JIT once in the parent, never per worker.
-            attachment.engine.warmup_kernels()
+            # reset the generation baselines the headers diff against.
             attachment.published_reweights = attachment.engine.reweights
             attachment.published_slot = -1
             attachment.fork_channel_swaps = attachment.engine.channel_swaps

@@ -76,7 +76,7 @@ class QueryGreedySelector(TaskSelector):
     def _run_on_engine(
         self, engine: EntropyEngine, k: int, candidates: Sequence[str]
     ) -> SelectionResult:
-        stats = SelectionStats(kernel=engine.kernel_tier)
+        stats = SelectionStats()
         state = engine.initial_state()
         remaining = list(candidates)
         current_utility = state.entropy - state.joint_entropy

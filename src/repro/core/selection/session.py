@@ -106,8 +106,8 @@ class RefinementSession:
         Optional :class:`~repro.core.runtime.RuntimeOptions`; supplies
         ``recalibrate`` (each merge re-estimates the channel accuracy of
         every answered fact from the posterior's agreement with the received
-        answers and swaps the updated channel into selection and merging),
-        the kernel tier, and — when ``parallel`` is not given and no shared
+        answers and swaps the updated channel into selection and merging)
+        and — when ``parallel`` is not given and no shared
         ``evaluator_pool`` is — the private pool's policy
         (``RuntimeOptions.workers``).
     evaluator_pool:
@@ -139,18 +139,16 @@ class RefinementSession:
                 "RefinementSession cannot combine a parallel policy with a "
                 "shared evaluator_pool; the pool already carries its own policy"
             )
-        recalibrate, kernel = False, "auto"
+        recalibrate = False
         if runtime is not None:
-            recalibrate, kernel = runtime.recalibrate, runtime.kernel
+            recalibrate = runtime.recalibrate
             if parallel is None and evaluator_pool is None:
                 parallel = runtime.parallel_policy
         self._initial = distribution
         self._base_channel = channel
         self._channel = channel
         self._interest_ids = tuple(interest_ids) if interest_ids else ()
-        self._engine = EntropyEngine(
-            distribution, channel, interest_ids=interest_ids, kernel=kernel
-        )
+        self._engine = EntropyEngine(distribution, channel, interest_ids=interest_ids)
         self._materialized: Optional[JointDistribution] = distribution
         self._rounds_merged = 0
         self._views: Dict[Tuple[str, ...], EntropyEngine] = {}

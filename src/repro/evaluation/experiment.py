@@ -557,10 +557,7 @@ def run_entity_trajectory(
     session = RefinementSession(
         problem.prior,
         channel,
-        runtime=RuntimeOptions(
-            recalibrate=config.runtime_options.recalibrate,
-            kernel=config.runtime_options.kernel,
-        ),
+        runtime=RuntimeOptions(recalibrate=config.runtime_options.recalibrate),
     )
     trajectory = EntityTrajectory(
         # Only calibration pre-tests have spent platform answers at this

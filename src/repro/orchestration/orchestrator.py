@@ -151,7 +151,6 @@ def _fingerprint(
         "calibration_facts": config.calibration_facts,
         "calibration_repetitions": config.calibration_repetitions,
         "recalibrate": runtime.recalibrate,
-        "kernel": str(runtime.kernel),
     }
 
 
@@ -172,9 +171,17 @@ def check_manifest(
                 "resume=True (--resume) to continue it"
             )
         if existing != fingerprint:
+            differing = sorted(
+                key
+                for key in set(existing) | set(fingerprint)
+                if key not in existing
+                or key not in fingerprint
+                or existing[key] != fingerprint[key]
+            )
             raise OrchestrationError(
                 f"run directory {run_dir} was created for a different "
-                "sweep (manifest fingerprint mismatch); refusing to mix"
+                "sweep (manifest fingerprint mismatch; differs in: "
+                f"{', '.join(differing)}); refusing to mix"
             )
     else:
         atomic_write_json(manifest_path, fingerprint)

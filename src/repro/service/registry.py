@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
-from repro.core.runtime import RuntimeOptions
 from repro.core.selection import available_selectors, get_selector
 from repro.core.selection.base import TaskSelector
 from repro.core.selection.session import RefinementSession, SessionPool
@@ -108,7 +107,6 @@ class SessionRegistry:
     def __init__(
         self,
         group: EngineGroup,
-        kernel: str = "auto",
         snapshot_dir: Optional[str] = None,
         max_sessions: Optional[int] = None,
         idle_ttl_s: Optional[float] = None,
@@ -129,10 +127,6 @@ class SessionRegistry:
                 "tenant state"
             )
         self._group = group
-        # Every tenant's engine is built on the same kernel tier — the tier is
-        # a service-deployment property (is numba installed in this image?),
-        # not a per-session choice.
-        self._kernel = kernel
         self._pool = SessionPool()
         self._records: Dict[str, SessionRecord] = {}
         self.max_sessions = max_sessions
@@ -188,7 +182,6 @@ class SessionRegistry:
                 session_id,
                 distribution,
                 channel,
-                runtime=RuntimeOptions(kernel=self._kernel),
                 evaluator_pool=self._group.acquire(),
             )
         except (BudgetError, SelectionError, CrowdFusionError) as error:
@@ -260,7 +253,6 @@ class SessionRegistry:
                 session_id,
                 distribution,
                 channel,
-                runtime=RuntimeOptions(kernel=self._kernel),
                 evaluator_pool=self._group.acquire(),
             )
         except (BudgetError, SelectionError, CrowdFusionError) as error:

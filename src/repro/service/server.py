@@ -268,7 +268,6 @@ class RefinementService:
         self._group = EngineGroup(policy, pools=pools)
         self._registry = SessionRegistry(
             self._group,
-            kernel=runtime.kernel if runtime is not None else "auto",
             snapshot_dir=state_dir,
             max_sessions=max_sessions,
             idle_ttl_s=idle_ttl_s,

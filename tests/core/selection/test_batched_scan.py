@@ -1,9 +1,14 @@
-"""Differential suite: the batched candidate scan vs. the per-candidate pipeline.
+"""Differential suite: the batched candidate scan vs. two per-candidate oracles.
 
 :meth:`EntropyEngine.scan` scores a whole block of candidates with a fixed
-number of NumPy calls.  The oracle below is the per-candidate pipeline it
-replaced — one grouped ``bincount``, one row-wise channel transform and one
-``entropy_bits`` per answer table, for one candidate at a time.
+number of NumPy calls.  Two oracles score one candidate at a time:
+
+* ``oracle_extension`` is the per-candidate NumPy pipeline the scan replaced
+  — one grouped ``bincount``, one row-wise channel transform and one
+  ``entropy_bits`` per answer table;
+* ``scalar_extension`` shares no NumPy primitive with the engine: the masked
+  grouping, the per-bit channel butterflies, the candidate's own channel and
+  the entropy sums are plain Python loops, summed sequentially.
 
 The contract pinned here:
 
@@ -17,17 +22,29 @@ The contract pinned here:
 * a candidate's floats never depend on which other candidates share its
   block: a block of N equals N blocks of one, bit for bit, however the block
   cap cuts the candidate list.  This is what makes pooled scans (each worker
-  scoring a slice of the candidates) bit-identical to in-process ones.
+  scoring a slice of the candidates) bit-identical to in-process ones;
+* the scalar loops build the same answer tables bit for bit (every butterfly
+  and channel step is the same two-term expression per element) and agree on
+  the entropies within 1e-12 (sequential against pairwise summation);
+* that agreement is tight enough to drive selection: every greedy selector
+  picks the same tasks, round after round, when the scalar loops score its
+  candidates instead of the scan;
+* :meth:`EntropyEngine.extend` refines the cached partition exactly as a
+  per-row loop over the selected facts' bits would.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.entropy import bsc_transform_rows, channel_transform_rows, entropy_bits
+from repro.core.selection import RefinementSession, get_selector
 from repro.core.selection import engine as engine_module
-from repro.core.selection.engine import EntropyEngine, _row_entropies
+from repro.core.selection.engine import CandidateScan, EntropyEngine, _row_entropies
 from repro.exceptions import SelectionError
 
 NUM_FACTS = 9
@@ -37,6 +54,9 @@ INTEREST = ("f0", "f3", "f5")
 
 #: Identity channels are where answer tables hold exact zeros.
 ZERO_TABLE_TOLERANCE = 1e-12
+
+#: Sequential (scalar oracle) against pairwise (NumPy) entropy summation.
+SCALAR_TOLERANCE = 1e-12
 
 
 def oracle_extension(engine, state, fact_id):
@@ -68,6 +88,104 @@ def oracle_extension(engine, state, fact_id):
     return answer_false, answer_true, task_entropy, joint_entropy
 
 
+def scalar_extension(engine, state, fact_id):
+    """``(A_false, A_true, H(T ∪ {f}), H(I, T ∪ {f}))`` by scalar loops.
+
+    1. masked grouping — the candidate's true mass summed by the cached
+       ``(cell << width) | projection`` key, in support order;
+    2. channel butterflies over the selected bits (per-bit accuracies, least
+       significant bit first);
+    3. the candidate's own 2×2 channel, with the false-branch mass recovered
+       by linearity from the state's cached ``table`` and clamped at zero;
+    4. entropy accumulation, summing cell-marginalised columns only when the
+       engine partitions by facts of interest.
+    """
+    combined = state.combined
+    bits = engine.bits(fact_id)
+    probabilities = engine.probabilities
+    num_cells = state.table.shape[0]
+    width = state.width
+    table = state.table.reshape(-1)
+    if engine.uniform_accuracy is not None:
+        bit_accuracies = [engine.uniform_accuracy] * width
+        candidate_accuracy = engine.uniform_accuracy
+    else:
+        bit_accuracies = [float(accuracy) for accuracy in state.bit_accuracies]
+        candidate_accuracy = engine.accuracy_for(fact_id)
+    stride = 1 << width
+    grouped = np.zeros(num_cells * stride, dtype=np.float64)
+    for row in range(combined.shape[0]):
+        if bits[row] != 0:
+            grouped[combined[row]] += probabilities[row]
+    for axis in range(1, width + 1):
+        accuracy = bit_accuracies[width - axis]
+        if accuracy == 1.0:
+            continue
+        error = 1.0 - accuracy
+        bit = 1 << (width - axis)
+        for cell in range(num_cells):
+            base = cell * stride
+            for column in range(stride):
+                if column & bit == 0:
+                    low = base + column
+                    high = low + bit
+                    x = grouped[low]
+                    y = grouped[high]
+                    grouped[low] = accuracy * x + error * y
+                    grouped[high] = accuracy * y + error * x
+    error = 1.0 - candidate_accuracy
+    answer_false = np.zeros((num_cells, stride), dtype=np.float64)
+    answer_true = np.zeros((num_cells, stride), dtype=np.float64)
+    joint_entropy = 0.0
+    column_false = np.zeros(stride, dtype=np.float64)
+    column_true = np.zeros(stride, dtype=np.float64)
+    for cell in range(num_cells):
+        base = cell * stride
+        for column in range(stride):
+            mass_true = grouped[base + column]
+            mass_false = table[base + column] - mass_true
+            if mass_false < 0.0:
+                mass_false = 0.0
+            false_answer = error * mass_true + candidate_accuracy * mass_false
+            true_answer = candidate_accuracy * mass_true + error * mass_false
+            answer_false[cell, column] = false_answer
+            answer_true[cell, column] = true_answer
+            if false_answer > 0.0:
+                joint_entropy -= false_answer * math.log2(false_answer)
+            if true_answer > 0.0:
+                joint_entropy -= true_answer * math.log2(true_answer)
+            column_false[column] += false_answer
+            column_true[column] += true_answer
+    if num_cells == 1:
+        return answer_false, answer_true, joint_entropy, joint_entropy
+    task_entropy = 0.0
+    for column in range(stride):
+        for value in (column_false[column], column_true[column]):
+            if value > 0.0:
+                task_entropy -= value * math.log2(value)
+    return answer_false, answer_true, task_entropy, joint_entropy
+
+
+def scalar_scan(engine, state, fact_ids):
+    """A :class:`CandidateScan` whose entropies all come from :func:`scalar_extension`.
+
+    It keeps no answer tables, so :meth:`EntropyEngine.extend` scores the
+    winner itself, and it counts evaluations as :meth:`EntropyEngine.scan`
+    does.  Patched in for ``EntropyEngine.scan``, it runs every selector on
+    the scalar oracle's scores.
+    """
+    fact_ids = tuple(fact_ids)
+    engine.evaluations += len(fact_ids)
+    scored = [scalar_extension(engine, state, fact_id)[2:] for fact_id in fact_ids]
+    return CandidateScan(
+        state,
+        fact_ids,
+        [task for task, _joint in scored],
+        [joint for _task, joint in scored],
+        [],
+    )
+
+
 def sparse_distribution(num_facts=NUM_FACTS, support=SUPPORT, seed=0):
     rng = np.random.default_rng(seed)
     if num_facts <= 62:
@@ -97,11 +215,11 @@ def per_fact_channel(fact_ids, seed, identity_every=None):
     return PerFactChannelModel(0.8, accuracies)
 
 
-def engine_for(case, kernel="numpy"):
-    """The engine of one named scenario, pinned to one kernel tier."""
+def engine_for(case):
+    """The engine of one named scenario."""
     if case == "packed":
         distribution = sparse_distribution(num_facts=70, support=120, seed=4)
-        engine = EntropyEngine(distribution, CrowdModel(0.75), kernel=kernel)
+        engine = EntropyEngine(distribution, CrowdModel(0.75))
         assert engine.support_masks.ndim == 2  # uint64 bit planes
         return engine
     distribution = sparse_distribution(seed=len(case))
@@ -114,10 +232,8 @@ def engine_for(case, kernel="numpy"):
     }
     if case.startswith("interest_"):
         channel = channels[case[len("interest_"):]]
-        return EntropyEngine(
-            distribution, channel, interest_ids=INTEREST, kernel=kernel
-        )
-    return EntropyEngine(distribution, channels[case], kernel=kernel)
+        return EntropyEngine(distribution, channel, interest_ids=INTEREST)
+    return EntropyEngine(distribution, channels[case])
 
 
 CASES = (
@@ -185,6 +301,25 @@ class TestScanMatchesOracle:
         if "identity" not in case:
             assert exact > 0
 
+    def test_scalar_oracle_agrees(self, case):
+        engine = engine_for(case)
+        for state in grown_states(engine):
+            candidates = remaining(engine, state)
+            scan = engine.scan(state, candidates)
+            for index, fact_id in enumerate(candidates):
+                answer_false, answer_true, task, joint = scalar_extension(
+                    engine, state, fact_id
+                )
+                kept = scan.extension(fact_id)
+                assert np.array_equal(kept[0], answer_false)
+                assert np.array_equal(kept[1], answer_true)
+                assert scan.entropies[index] == pytest.approx(
+                    task, abs=SCALAR_TOLERANCE
+                )
+                assert scan.joint_entropies[index] == pytest.approx(
+                    joint, abs=SCALAR_TOLERANCE
+                )
+
     def test_extend_commits_the_oracle_tables(self, case):
         engine = engine_for(case)
         for state in grown_states(engine, max_width=MAX_WIDTH - 1):
@@ -201,6 +336,21 @@ class TestScanMatchesOracle:
             assert from_scan.entropy.hex() == rescored.entropy.hex()
             assert from_scan.joint_entropy.hex() == rescored.joint_entropy.hex()
             assert np.array_equal(from_scan.combined, rescored.combined)
+
+    def test_extend_refines_the_partition(self, case):
+        engine = engine_for(case)
+        cells = engine.initial_state().combined.tolist()
+        for state in grown_states(engine):
+            # Selection order, most recent task in the least significant bit.
+            projection = [0] * len(cells)
+            for fact_id in state.task_ids:
+                bits = engine.bits(fact_id)
+                for row in range(len(cells)):
+                    projection[row] = (projection[row] << 1) | int(bits[row])
+            assert state.projection.tolist() == projection
+            assert state.combined.tolist() == [
+                (cell << state.width) | key for cell, key in zip(cells, projection)
+            ]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -240,6 +390,88 @@ class TestBlockIndependence:
             reference = engine.extend(state, candidates[0], expected)
             assert np.array_equal(committed.table, reference.table)
             assert committed.entropy.hex() == reference.entropy.hex()
+
+
+SELECTORS = ("greedy", "greedy_lazy", "greedy_prune_pre")
+SELECTION_ACCURACY = 0.82
+
+
+def scripted_answers(task_ids, round_index):
+    return AnswerSet.from_mapping(
+        {fact_id: (round_index + position) % 2 == 0
+         for position, fact_id in enumerate(task_ids)}
+    )
+
+
+def on_scalar_oracle(monkeypatch, run):
+    """``run()`` with every engine's candidates scored by :func:`scalar_scan`."""
+    scans = []
+
+    def patched(engine, state, fact_ids):
+        scans.append(len(fact_ids))
+        return scalar_scan(engine, state, fact_ids)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EntropyEngine, "scan", patched)
+        outcome = run()
+    assert scans, "the selection never scanned a candidate"
+    return outcome
+
+
+class TestScalarOracleSelection:
+    """The scan's scores drive the same selections as the scalar loops'."""
+
+    @staticmethod
+    def assert_same_selection(monkeypatch, distribution, crowd, selector_name):
+        def run():
+            session = RefinementSession(distribution, crowd)
+            return get_selector(selector_name).select_with_session(session, 4)
+
+        scanned = run()
+        oracle = on_scalar_oracle(monkeypatch, run)
+        assert oracle.task_ids == scanned.task_ids
+        assert abs(oracle.objective - scanned.objective) <= 1e-9
+
+    @pytest.mark.parametrize("selector_name", SELECTORS)
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_uniform_channel(self, monkeypatch, selector_name, seed):
+        self.assert_same_selection(
+            monkeypatch,
+            sparse_distribution(num_facts=14, support=384, seed=seed),
+            CrowdModel(SELECTION_ACCURACY),
+            selector_name,
+        )
+
+    @pytest.mark.parametrize("selector_name", SELECTORS)
+    def test_heterogeneous_channel(self, monkeypatch, selector_name):
+        distribution = sparse_distribution(num_facts=12, support=256, seed=5)
+        self.assert_same_selection(
+            monkeypatch,
+            distribution,
+            per_fact_channel(distribution.fact_ids, seed=6),
+            selector_name,
+        )
+
+    def test_multi_round_trajectories(self, monkeypatch):
+        distribution = sparse_distribution(num_facts=16, support=512, seed=9)
+        crowd = CrowdModel(SELECTION_ACCURACY)
+
+        def run():
+            session = RefinementSession(distribution, crowd)
+            selector = get_selector("greedy")
+            task_sets = []
+            for round_index in range(4):
+                result = selector.select_with_session(session, 2)
+                task_sets.append(result.task_ids)
+                session.merge(scripted_answers(result.task_ids, round_index))
+            return task_sets, dict(session.distribution.items())
+
+        scanned_sets, scanned_posterior = run()
+        oracle_sets, oracle_posterior = on_scalar_oracle(monkeypatch, run)
+        assert oracle_sets == scanned_sets
+        assert oracle_posterior.keys() == scanned_posterior.keys()
+        for mask, probability in oracle_posterior.items():
+            assert probability == pytest.approx(scanned_posterior[mask], abs=1e-12)
 
 
 class TestRowEntropies:
@@ -290,22 +522,3 @@ class TestScanContract:
         grown = engine.extend(state, "f0", scan)
         with pytest.raises(SelectionError, match="different selection state"):
             engine.extend(grown, "f1", scan)
-
-    @pytest.mark.parametrize("case", ["uniform", "heterogeneous", "interest_uniform"])
-    def test_fused_reference_tier_agrees(self, case):
-        numpy_engine = engine_for(case)
-        reference_engine = engine_for(case, kernel="reference")
-        for numpy_state, reference_state in zip(
-            grown_states(numpy_engine, 3), grown_states(reference_engine, 3)
-        ):
-            candidates = remaining(numpy_engine, numpy_state)
-            expected = numpy_engine.scan(numpy_state, candidates)
-            fused = reference_engine.scan(reference_state, candidates)
-            assert fused.entropies == pytest.approx(expected.entropies, abs=1e-9)
-            assert fused.joint_entropies == pytest.approx(
-                expected.joint_entropies, abs=1e-9
-            )
-            # The fused kernel keeps no tables; extend re-scores the winner.
-            assert fused.extension(candidates[0]) is None
-            committed = reference_engine.extend(reference_state, candidates[0], fused)
-            assert committed.entropy == pytest.approx(expected.entropies[0], abs=1e-9)

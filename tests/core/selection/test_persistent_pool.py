@@ -296,6 +296,17 @@ class TestPersistentPoolEquivalence:
             assert all(stats.parallel_evaluations > 0 for _, _, stats in persistent)
             assert all(stats.workers == workers for _, _, stats in persistent)
 
+    def test_runtime_workers_pool_matches_serial(self):
+        dist = dense_distribution(16, 2048, seed=11)
+        crowd = CrowdModel(0.82)
+        serial = run_rounds(
+            RefinementSession(dist, crowd), GreedySelector(), rounds=3, k=2
+        )
+        runtime = RuntimeOptions(workers=2, parallel_threshold=FORCE_PARALLEL)
+        with RefinementSession(dist, crowd, runtime=runtime) as session:
+            pooled = run_rounds(session, GreedySelector(), rounds=3, k=2)
+        assert_histories_match(serial, pooled)
+
     def test_multi_round_heterogeneous_channels(self):
         dist = dense_distribution(10, 256, seed=4)
         channel = heterogeneous_channel(dist.fact_ids)

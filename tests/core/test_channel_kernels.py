@@ -40,6 +40,21 @@ def mass_vectors(draw, max_bits=4):
     return np.array(masses, dtype=np.float64), k
 
 
+@st.composite
+def probability_tables(draw, max_bits=4, max_rows=5):
+    """Row tables like the engine's grouped state: ``(rows, 2^k)`` masses in [0, 1]."""
+    k = draw(st.integers(min_value=0, max_value=max_bits))
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    masses = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            min_size=rows << k,
+            max_size=rows << k,
+        )
+    )
+    return np.array(masses, dtype=np.float64).reshape(rows, 1 << k), k
+
+
 def dense_channel_reference(vector, accuracies):
     """Equation 2 the slow way: one term per (answer, projection) pair."""
     k = len(accuracies)
@@ -135,3 +150,36 @@ class TestHeterogeneousCorrectness:
         result = channel_transform(vector, accuracies)
         assert result.sum() == pytest.approx(vector.sum())
         assert (result >= 0.0).all()
+
+
+class TestRowTransformsMatchDenseReference:
+    """The row variants the candidate scan runs, row by row against Equation 2."""
+
+    @given(probability_tables(), st.floats(min_value=0.5, max_value=1.0, allow_nan=False))
+    @settings(max_examples=100, deadline=None)
+    def test_bsc_transform_rows(self, table_k, accuracy):
+        table, k = table_k
+        actual = bsc_transform_rows(table, k, accuracy)
+        for row, result in zip(table, actual):
+            expected = dense_channel_reference(row, np.full(k, accuracy))
+            np.testing.assert_allclose(result, expected, atol=1e-12)
+
+    @given(probability_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_channel_transform_rows(self, table_k, data):
+        table, k = table_k
+        accuracies = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=0.5, max_value=1.0, allow_nan=False),
+                    min_size=k,
+                    max_size=k,
+                )
+            ),
+            dtype=np.float64,
+        )
+        actual = channel_transform_rows(table, accuracies)
+        for row, result in zip(table, actual):
+            np.testing.assert_allclose(
+                result, dense_channel_reference(row, accuracies), atol=1e-12
+            )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.assignment import popcount
 from repro.core.entropy import (
@@ -27,6 +29,13 @@ class TestPopcount:
     def test_array_handles_wide_masks(self):
         value = (1 << 50) | (1 << 33) | (1 << 17) | 1
         assert popcount_array(np.array([value])).tolist() == [4]
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1),
+                    min_size=1, max_size=32))
+    @settings(max_examples=100, deadline=None)
+    def test_array_matches_bin_count_on_random_masks(self, values):
+        counts = popcount_array(np.array(values, dtype=np.int64))
+        assert counts.tolist() == [bin(value).count("1") for value in values]
 
 
 class TestEntropyBits:

@@ -1,246 +1,85 @@
-"""The kernel registry: tier resolution, graceful degradation, equivalence.
+"""One candidate-scan implementation: what the kernel module still answers for.
 
-Two contracts matter here.  Resolution: ``auto``/env/explicit requests land on
-the right tier for the host, and a ``compiled`` request on a numba-less host
-degrades to ``numpy`` with one log line — never an ImportError.  Numerics: the
-reference tier (the compiled tier's loop bodies run as plain Python) matches
-the numpy primitives within 1e-9, which is what validates the compiled
-algorithm on hosts that cannot JIT.
+Since 3.0 every engine scores candidates with the batched NumPy scan, and
+``repro.core.kernels`` only names it.  This suite pins that contract:
+``default_tier()`` names the NumPy scan (benchmark rows and facts lines read
+it), the engine, the service registry and the selection stats take and carry
+no tier, and nothing on the selection path looks for numba or reads the
+``REPRO_KERNEL`` / ``NUMBA_DISABLE_JIT`` variables that 2.x consulted.
 """
 
-import logging
+import dataclasses
+import sys
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.core.kernels as kernels_module
-from repro.core.entropy import (
-    bsc_transform_rows,
-    channel_transform_rows,
-    popcount_array,
-)
-from repro.core.kernels import (
-    KERNEL_CHOICES,
-    KERNEL_ENV_VAR,
-    KERNEL_TIERS,
-    _reset_for_tests,
-    default_tier,
-    jit_disabled,
-    numba_available,
-    resolve_kernels,
-    warmup,
-)
-from repro.core.runtime import RuntimeOptions
-from repro.exceptions import CrowdFusionError
+from repro.core.crowd import CrowdModel
+from repro.core.distribution import JointDistribution
+from repro.core.kernels import default_tier
+from repro.core.selection import RefinementSession, SelectionStats, get_selector
+from repro.core.selection.engine import EntropyEngine
+from repro.service.batching import EngineGroup
+from repro.service.registry import SessionRegistry
 
 
-@pytest.fixture(autouse=True)
-def clean_registry(monkeypatch):
-    """Isolate every test from cached tiers and the one-time fallback flag."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv("NUMBA_DISABLE_JIT", raising=False)
-    _reset_for_tests()
-    yield
-    _reset_for_tests()
-
-
-def _force_no_numba(monkeypatch):
-    def missing():
-        raise ModuleNotFoundError("No module named 'numba'")
-
-    monkeypatch.setattr(kernels_module, "_import_numba", missing)
-
-
-class TestResolution:
-    def test_explicit_tiers_resolve_to_themselves(self, monkeypatch):
-        _force_no_numba(monkeypatch)
-        assert resolve_kernels("numpy").tier == "numpy"
-        assert resolve_kernels("reference").tier == "reference"
-
-    def test_auto_without_numba_is_numpy(self, monkeypatch):
-        _force_no_numba(monkeypatch)
-        assert resolve_kernels("auto").tier == "numpy"
-        assert default_tier() == "numpy"
-
-    def test_auto_with_numba_is_compiled(self, monkeypatch):
-        # Simulate a host with the extra installed without requiring it: the
-        # availability probe succeeds, and the builder receives a stand-in
-        # "numba" whose njit(...)(fn) returns fn unchanged.
-        class FakeNumba:
-            @staticmethod
-            def njit(**_kwargs):
-                return lambda fn: fn
-
-        monkeypatch.setattr(kernels_module, "_import_numba", lambda: FakeNumba)
-        resolved = resolve_kernels("auto")
-        assert resolved.tier == "compiled"
-        assert resolved.extension_scan is not None
-
-    def test_invalid_tier_raises(self):
-        with pytest.raises(CrowdFusionError, match="kernel must be one of"):
-            resolve_kernels("vectorised")
-
-    def test_env_override_of_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert resolve_kernels("auto").tier == "reference"
-
-    def test_env_override_validated(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(CrowdFusionError, match=KERNEL_ENV_VAR):
-            resolve_kernels("auto")
-
-    def test_env_does_not_override_explicit_request(self, monkeypatch):
-        _force_no_numba(monkeypatch)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert resolve_kernels("numpy").tier == "numpy"
-
-    def test_runtime_options_validate_kernel(self):
-        assert RuntimeOptions(kernel="reference").kernel == "reference"
-        with pytest.raises(CrowdFusionError, match="kernel must be one of"):
-            RuntimeOptions(kernel="fast")
-        assert "auto" in KERNEL_CHOICES
-        assert set(KERNEL_TIERS) == {"compiled", "numpy", "reference"}
-
-
-class TestGracefulDegradation:
-    def test_compiled_without_numba_degrades_to_numpy(self, monkeypatch, caplog):
-        _force_no_numba(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger=kernels_module.__name__):
-            resolved = resolve_kernels("compiled")
-        assert resolved.tier == "numpy"
-        fallback_lines = [
-            record for record in caplog.records
-            if "falling back to the numpy tier" in record.getMessage()
-        ]
-        assert len(fallback_lines) == 1
-        assert "numba is not importable" in fallback_lines[0].getMessage()
-
-    def test_fallback_logs_exactly_once(self, monkeypatch, caplog):
-        _force_no_numba(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger=kernels_module.__name__):
-            resolve_kernels("compiled")
-            resolve_kernels("compiled")
-            resolve_kernels("auto")
-        fallback_lines = [
-            record for record in caplog.records
-            if "falling back to the numpy tier" in record.getMessage()
-        ]
-        assert len(fallback_lines) == 1
-
-    def test_jit_disabled_counts_as_unavailable(self, monkeypatch, caplog):
-        monkeypatch.setenv("NUMBA_DISABLE_JIT", "1")
-        assert jit_disabled()
-        assert not numba_available()
-        with caplog.at_level(logging.WARNING, logger=kernels_module.__name__):
-            resolved = resolve_kernels("compiled")
-        assert resolved.tier == "numpy"
-        assert any(
-            "NUMBA_DISABLE_JIT" in record.getMessage() for record in caplog.records
-        )
-
-    def test_jit_disabled_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv("NUMBA_DISABLE_JIT", "0")
-        assert not jit_disabled()
-
-    def test_engine_construction_never_raises_without_numba(self, monkeypatch):
-        _force_no_numba(monkeypatch)
-        from repro.core.crowd import CrowdModel
-        from repro.core.distribution import JointDistribution
-        from repro.core.selection.engine import EntropyEngine
-
-        distribution = JointDistribution(("f0", "f1"), {0: 0.25, 1: 0.5, 3: 0.25})
-        engine = EntropyEngine(distribution, CrowdModel(0.8), kernel="compiled")
-        assert engine.kernel_tier == "numpy"
-
-
-class TestWarmup:
-    def test_warmup_is_idempotent(self):
-        for tier in ("numpy", "reference"):
-            kernels = resolve_kernels(tier)
-            warmup(kernels)
-            warmup(kernels)
-
-    def test_engine_warmup_reports_tier(self):
-        from repro.core.crowd import CrowdModel
-        from repro.core.distribution import JointDistribution
-        from repro.core.selection.engine import EntropyEngine
-
-        distribution = JointDistribution(("f0", "f1"), {0: 0.25, 1: 0.5, 3: 0.25})
-        engine = EntropyEngine(distribution, CrowdModel(0.8), kernel="reference")
-        engine.warmup_kernels()
-        assert engine.kernel_tier == "reference"
-
-
-@st.composite
-def probability_matrices(draw):
-    """Row tables like the engine's grouped state: (groups, 2^bits) masses."""
-    num_bits = draw(st.integers(min_value=0, max_value=4))
-    groups = draw(st.integers(min_value=1, max_value=5))
-    stride = 1 << num_bits
-    values = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-            min_size=groups * stride,
-            max_size=groups * stride,
-        )
+def small_distribution():
+    return JointDistribution(
+        ("f0", "f1", "f2"), {0: 0.2, 1: 0.3, 3: 0.1, 6: 0.25, 7: 0.15}
     )
-    matrix = np.array(values, dtype=np.float64).reshape(groups, stride)
-    return num_bits, matrix
 
 
-class TestReferenceKernelEquivalence:
-    """The compiled tier's loop bodies vs. the numpy primitives."""
+def select(distribution):
+    session = RefinementSession(distribution, CrowdModel(0.8))
+    return get_selector("greedy").select_with_session(session, 2)
 
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1),
-                    min_size=1, max_size=32))
-    @settings(max_examples=100, deadline=None)
-    def test_popcount(self, values):
-        array = np.array(values, dtype=np.int64)
-        reference = resolve_kernels("reference")
-        assert reference.popcount(array).tolist() == popcount_array(array).tolist()
 
-    @given(probability_matrices(),
-           st.floats(min_value=0.5, max_value=1.0, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_bsc_transform_rows(self, case, accuracy):
-        num_bits, matrix = case
-        reference = resolve_kernels("reference")
-        expected = bsc_transform_rows(matrix, num_bits, accuracy)
-        actual = reference.bsc_transform_rows(matrix, num_bits, accuracy)
-        np.testing.assert_allclose(actual, expected, atol=1e-12)
+class NumbaImportRecorder:
+    """A meta-path finder that records every attempt to import numba."""
 
-    @given(probability_matrices(), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_channel_transform_rows(self, case, data):
-        num_bits, matrix = case
-        accuracies = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(min_value=0.5, max_value=1.0, allow_nan=False),
-                    min_size=num_bits,
-                    max_size=num_bits,
-                )
-            ),
-            dtype=np.float64,
-        )
-        reference = resolve_kernels("reference")
-        expected = channel_transform_rows(matrix, accuracies)
-        actual = reference.channel_transform_rows(matrix, accuracies)
-        np.testing.assert_allclose(actual, expected, atol=1e-12)
+    def __init__(self):
+        self.names = []
 
-    def test_refine_partition_matches_vectorized(self):
-        rng = np.random.default_rng(0)
-        projection = rng.integers(0, 8, size=64, dtype=np.int64)
-        bits = rng.integers(0, 2, size=64).astype(np.int8)
-        cell_index = rng.integers(0, 3, size=64, dtype=np.int64)
-        width = 3
-        reference = resolve_kernels("reference")
-        refined, combined = reference.refine_partition(
-            projection, bits, cell_index, width + 1
-        )
-        expected_refined = (projection << 1) | bits.astype(np.int64)
-        expected_combined = (cell_index << np.int64(width + 1)) | expected_refined
-        assert refined.tolist() == expected_refined.tolist()
-        assert combined.tolist() == expected_combined.tolist()
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numba":
+            self.names.append(name)
+        return None
+
+
+def test_default_tier_names_the_numpy_scan():
+    assert default_tier() == "numpy"
+
+
+def test_engine_takes_no_kernel_keyword():
+    with pytest.raises(TypeError):
+        EntropyEngine(small_distribution(), CrowdModel(0.8), kernel="numpy")
+    engine = EntropyEngine(small_distribution(), CrowdModel(0.8))
+    assert not hasattr(engine, "kernel_tier")
+    assert not hasattr(engine, "warmup_kernels")
+
+
+def test_session_registry_takes_no_kernel_keyword():
+    with pytest.raises(TypeError):
+        SessionRegistry(EngineGroup(None), kernel="numpy")
+
+
+def test_selection_stats_carry_no_kernel():
+    assert "kernel" not in {field.name for field in dataclasses.fields(SelectionStats)}
+    assert not hasattr(select(small_distribution()).stats, "kernel")
+
+
+def test_selection_never_imports_numba(monkeypatch):
+    recorder = NumbaImportRecorder()
+    monkeypatch.delitem(sys.modules, "numba", raising=False)
+    monkeypatch.setattr(sys, "meta_path", [recorder] + sys.meta_path)
+    assert select(small_distribution()).task_ids
+    assert recorder.names == []
+
+
+def test_retired_environment_variables_are_not_read(monkeypatch):
+    expected = select(small_distribution())
+    # 2.x refused to build an engine under an unknown REPRO_KERNEL value.
+    monkeypatch.setenv("REPRO_KERNEL", "turbo")
+    monkeypatch.setenv("NUMBA_DISABLE_JIT", "1")
+    result = select(small_distribution())
+    assert result.task_ids == expected.task_ids
+    assert result.objective == expected.objective

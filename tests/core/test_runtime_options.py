@@ -2,13 +2,14 @@
 
 One typed object carries every execution knob through every layer (engine,
 session, session pool, experiment config, CLI).  This suite pins the
-validation rules, the policies each layer derives, and the 2.0 contract:
-``workers`` always means a session-owned pool, ``persistent_pool`` is
-accepted and ignored, and the removed loose keywords are gone.
+validation rules, the policies each layer derives, the 2.0 contract
+(``workers`` always means a session-owned pool, ``persistent_pool`` is
+accepted and ignored, and the removed loose keywords are gone) and the 3.0
+one: no ``kernel`` field.
 """
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -58,6 +59,20 @@ class TestValidation:
             RuntimeOptions(workers=2, persistent_pool=True).parallel_policy
             == RuntimeOptions(workers=2).parallel_policy
         )
+
+    def test_kernel_field_is_gone(self):
+        # One candidate-scan implementation since 3.0: there is no tier to pick.
+        with pytest.raises(TypeError):
+            RuntimeOptions(kernel="numpy")
+        assert [field.name for field in fields(RuntimeOptions)] == [
+            "workers",
+            "parallel_threshold",
+            "persistent_pool",
+            "recalibrate",
+            "parallel_entities",
+            "dispatch_timeout_ms",
+            "max_rebuilds",
+        ]
 
     def test_workers_and_entities_are_exclusive(self):
         with pytest.raises(CrowdFusionError, match="mutually exclusive"):

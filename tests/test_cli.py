@@ -43,6 +43,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--workers", "0"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [["experiment"], ["shard-worker", "--connect", "127.0.0.1:9"], ["serve"]],
+        ids=["experiment", "shard-worker", "serve"],
+    )
+    def test_kernel_flag_is_gone(self, command, capsys):
+        # One candidate-scan implementation since 3.0: there is no tier to pick.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(command + ["--kernel", "numpy"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernel numpy" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_quickstart_runs(self, capsys):
