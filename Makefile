@@ -6,11 +6,17 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-smoke engine-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke
+.PHONY: test test-dev bench bench-smoke engine-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke
 
 # Tier-1 suite: the fast default (excludes the slow 2^20-support scenarios).
 test:
 	$(PYTEST) -x -q
+
+# Tier-1 under the interpreter's development mode (asyncio debug, unclosed-
+# resource warnings), with unclosed files and unraisable exceptions as errors.
+test-dev:
+	PYTHONPATH=src $(PYTHON) -X dev -m pytest -x -q \
+		-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 # All benchmark modules except the slow scale scenarios.  (The bench files
 # deliberately do not match pytest's test_*.py pattern, so they must be

@@ -26,8 +26,8 @@ Six follow-on suites ride in the same artifact:
   one session's shared bit-column cache vs. one fresh engine per query;
 * **session pools** — a multi-round run on one session-owned pool fed
   through the shared-memory snapshot ring vs. the serial session;
-* **entity fan-out** — the lock-step quality experiment with whole entities
-  fanned out across a fork pool, curves identical to the serial loop.
+* **entity fan-out** — the quality experiment with whole entity trajectories
+  fanned out across a fork pool, curves identical to the in-process run.
 
 Every run **merge-appends** its scenarios into
 ``benchmarks/results/BENCH_selection.json`` keyed by scenario id, so entries
@@ -106,7 +106,7 @@ MIN_PARALLEL_SPEEDUP = 2.0
 #: threshold keeps it from ever forking there).
 MAX_AUTO_SERIAL_OVERHEAD = 1.05
 
-#: Entity fan-out must beat the serial lock-step loop by at least this factor
+#: Entity fan-out must beat the in-process experiment by at least this factor
 #: on >=4-CPU hosts (identical curves are asserted everywhere).
 MIN_ENTITY_SPEEDUP = 1.1
 
@@ -707,9 +707,9 @@ def test_parallel_entities_fan_out():
     entry = {
         "suite": "parallel_entities",
         "description": (
-            f"Budget-{config.budget_per_entity} lock-step experiment over "
+            f"Budget-{config.budget_per_entity} quality experiment over "
             f"{len(problems)} books: whole-entity fan-out across "
-            f"{SCALE_WORKERS} fork workers vs the serial loop.  Curve points "
+            f"{SCALE_WORKERS} fork workers vs the in-process run.  Curve points "
             "are asserted identical (same costs, utilities and scores); the "
             "wall-clock speedup is hardware-bound (recorded cpus)."
         ),

@@ -115,9 +115,9 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="shard candidate scans over one pool of N worker processes "
-        "shared by every entity (greedy-family selectors; default: no "
-        "parallelism)",
+        help="shard each entity's candidate scans over a pool of N worker "
+        "processes (greedy-family selectors; in-memory sweeps only, "
+        "--run-dir and --coordinator refuse it; default: no parallelism)",
     )
     parser.add_argument(
         "--parallel-threshold", type=_nonnegative_int, default=None, metavar="WORK",
@@ -128,7 +128,8 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "--parallel-entities", type=_positive_int, default=None, metavar="N",
         help="fan whole entities out across N processes (each runs one "
         "entity's complete refinement trajectory; curves are identical to "
-        "the serial loop); mutually exclusive with --workers",
+        "the serial run); mutually exclusive with --workers; in-memory "
+        "sweeps only, --run-dir and --coordinator refuse it",
     )
 
 

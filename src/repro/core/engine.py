@@ -4,9 +4,11 @@ One *round* is a select → publish → collect → merge cycle: a task set of a
 most ``k`` facts is chosen by the configured selector, pushed to a crowd
 (real platform or simulator), the received answers are merged into the joint
 output distribution by Bayes' rule, and the loop repeats while budget
-remains.  The engine is agnostic to where the answers come from: anything
-that maps a tuple of fact ids to an :class:`~repro.core.answers.AnswerSet`
-will do.
+remains.  That loop is :func:`refinement_rounds`, the one implementation
+behind both :class:`CrowdFusionEngine` and the experiment runner's
+per-entity trajectories.  The engine is agnostic to where the answers come
+from: anything that maps a tuple of fact ids to an
+:class:`~repro.core.answers.AnswerSet` will do.
 
 The whole run lives on one persistent
 :class:`~repro.core.selection.session.RefinementSession`: the Bayesian merge
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel
@@ -218,8 +220,7 @@ class CrowdFusionEngine:
             taking the task ids and returning an :class:`AnswerSet`.
         round_callback:
             Optional hook invoked after each round with the round record and
-            the updated distribution (used by the experiment runner to track
-            quality curves).
+            the updated distribution (e.g. to track a quality curve).
         """
         collect = getattr(answer_provider, "collect", None)
         if collect is None:
@@ -227,61 +228,76 @@ class CrowdFusionEngine:
         result = EngineResult(
             initial_distribution=distribution, final_distribution=distribution
         )
-        session = RefinementSession(
+        # Leaving the ``with`` releases the session's worker pool (a no-op for
+        # serial runs) even when a selector or the answer provider raises
+        # mid-round.
+        with RefinementSession(
             distribution, self._crowd, parallel=self._parallel, runtime=self._runtime
-        )
-        try:
-            return self._refine(session, result, collect, round_callback)
-        finally:
-            # Releases the session's worker pool (a no-op for serial runs)
-            # even when a selector or the answer provider raises mid-round.
-            session.close()
-
-    def _refine(
-        self,
-        session: RefinementSession,
-        result: EngineResult,
-        collect: Callable[[Sequence[str]], AnswerSet],
-        round_callback: Optional[Callable[[RoundRecord, JointDistribution], None]],
-    ) -> EngineResult:
-        asked: set = set()
-        remaining_budget = self._budget
-        round_index = 0
-
-        while remaining_budget > 0:
-            k = min(self._tasks_per_round, remaining_budget, session.num_facts)
-            exclude: Tuple[str, ...] = ()
-            if not self._reselect:
-                exclude = tuple(asked)
-                if len(exclude) >= session.num_facts:
-                    break
-            selection: SelectionResult = self._selector.select_with_session(
-                session, k, exclude=exclude
+        ) as session:
+            rounds = refinement_rounds(
+                session,
+                self._selector,
+                collect,
+                self._budget,
+                self._tasks_per_round,
+                reselect=self._reselect,
             )
-            if not selection.task_ids:
-                # No task offers positive expected gain: stop early.
-                break
-
-            answers = collect(selection.task_ids)
+            # Nothing reweights the posterior between one round's merge and
+            # the next, so each round starts from the previous round's utility.
             utility_before = session.utility()
-            session.merge(answers)
-            utility_after = session.utility()
-
-            remaining_budget -= len(selection.task_ids)
-            asked.update(selection.task_ids)
-            round_index += 1
-            record = RoundRecord(
-                round_index=round_index,
-                task_ids=selection.task_ids,
-                answers=answers,
-                utility_before=utility_before,
-                utility_after=utility_after,
-                cumulative_cost=self._budget - remaining_budget,
-                selection=selection,
-            )
-            result.rounds.append(record)
-            if round_callback is not None:
-                round_callback(record, session.distribution)
-
-        result.final_distribution = session.distribution
+            cost = 0
+            for round_index, (selection, answers) in enumerate(rounds, start=1):
+                utility_after = session.utility()
+                cost += len(selection.task_ids)
+                record = RoundRecord(
+                    round_index=round_index,
+                    task_ids=selection.task_ids,
+                    answers=answers,
+                    utility_before=utility_before,
+                    utility_after=utility_after,
+                    cumulative_cost=cost,
+                    selection=selection,
+                )
+                result.rounds.append(record)
+                if round_callback is not None:
+                    round_callback(record, session.distribution)
+                utility_before = utility_after
+            result.final_distribution = session.distribution
         return result
+
+
+def refinement_rounds(
+    session: RefinementSession,
+    selector: TaskSelector,
+    collect: Callable[[Sequence[str]], AnswerSet],
+    budget: int,
+    tasks_per_round: int,
+    reselect: bool = True,
+) -> Iterator[Tuple[SelectionResult, AnswerSet]]:
+    """Figure 1's loop: select → collect → merge while budget remains.
+
+    Each round selects at most ``min(tasks_per_round, remaining budget,
+    facts)`` tasks against ``session``, collects and merges their answers,
+    then yields ``(selection, answers)`` with the posterior already in the
+    session.  The loop ends when the budget is spent, when the selector
+    returns no tasks (none offers positive expected gain), or — with
+    ``reselect=False``, which excludes facts asked in earlier rounds — when
+    every fact has been asked.
+    """
+    asked: set = set()
+    remaining = budget
+    while remaining > 0:
+        k = min(tasks_per_round, remaining, session.num_facts)
+        exclude: Tuple[str, ...] = ()
+        if not reselect:
+            exclude = tuple(asked)
+            if len(exclude) >= session.num_facts:
+                return
+        selection = selector.select_with_session(session, k, exclude=exclude)
+        if not selection.task_ids:
+            return
+        answers = collect(selection.task_ids)
+        session.merge(answers)
+        remaining -= len(selection.task_ids)
+        asked.update(selection.task_ids)
+        yield selection, answers

@@ -14,8 +14,10 @@ The fields mean the same thing everywhere:
     Worker processes for parallel candidate scans (``None`` disables
     process-level parallelism; nothing ever forks for a scan).  A session
     given these options owns one worker pool that survives every Bayesian
-    merge (posteriors travel through a shared-memory snapshot ring); an
-    experiment shares one pool across all of its entities.
+    merge (posteriors travel through a shared-memory snapshot ring).  An
+    experiment refines one entity at a time, each on its own session's
+    pool, so at most ``workers`` scan processes are alive.  The durable
+    sweeps (:mod:`repro.orchestration`) refuse it.
 ``parallel_threshold``
     Auto-serial threshold (candidates × support rows) below which a
     configured parallel scan still runs in process (``None`` = library
@@ -30,7 +32,7 @@ The fields mean the same thing everywhere:
 ``parallel_entities``
     Experiment-level fan-out: whole entities run in fork workers (mutually
     exclusive with ``workers``).  Layers below the experiment runner ignore
-    it.
+    it, and the durable sweeps refuse it.
 ``dispatch_timeout_ms``
     Wall-clock budget for one parallel dispatch before the supervisor
     declares the pool hung and rebuilds it (``None`` disables the timeout).

@@ -25,7 +25,8 @@ channels, scoring each iteration's candidates in one batched
 :meth:`EntropyEngine.scan` (a :class:`CandidateScan`) — and can run either on a fresh engine per call or against a
 persistent :class:`RefinementSession` that amortises one engine across the
 rounds of a multi-round refinement (``TaskSelector.select_with_session``).
-:class:`SessionPool` keys such sessions by entity for batched experiments.
+:class:`SessionPool` keys such sessions under one lifecycle for the
+refinement service's session registry.
 
 Sessions score many queries in one batch off shared cached bit columns
 (``RefinementSession.select_queries``), and a :class:`RefinementSession`

@@ -21,10 +21,9 @@ A :class:`RefinementSession` owns one engine for the lifetime of a run:
   the cached arrays, and a full :class:`JointDistribution` posterior is only
   materialised on demand (:attr:`RefinementSession.distribution`).
 
-A :class:`SessionPool` keys sessions by entity so batched experiments (one
-refinement problem per book, rounds interleaved in lock-step) reuse every
-entity's cached state across all global passes instead of building one engine
-per entity per pass.
+A :class:`SessionPool` keys sessions under one lifecycle — the refinement
+service's session registry keeps its tenants in one — and reads aggregate
+quality (summed utility, pooled labels) straight from their cached arrays.
 
 Two extensions ride on the same cached arrays:
 
@@ -114,10 +113,10 @@ class RefinementSession:
         Optional shared :class:`~repro.core.selection.parallel.EvaluatorPool`
         to attach this session's engine to, instead of the session owning a
         private pool.  The session attaches lazily on the first scan and
-        detaches on :meth:`close` — this is how an experiment runs all of
-        its entities, and a multi-tenant server all of its sessions, on a
-        small, fixed set of worker processes.  The pool carries its own
-        policy, so it may not be combined with ``parallel``.
+        detaches on :meth:`close` — this is how a multi-tenant server runs
+        all of its sessions on a small, fixed set of worker processes.  The
+        pool carries its own policy, so it may not be combined with
+        ``parallel``.
     """
 
     def __init__(
@@ -436,16 +435,16 @@ class RefinementSession:
 class SessionPool:
     """A keyed pool of refinement sessions sharing one lifecycle.
 
-    The batched-experiment consumer: one session per entity (book, flight),
-    built once before the first global pass and reused — warm bit columns,
-    warm partitions — for every subsequent pass.  Aggregate quality metrics
-    (summed utility, pooled predicted labels) are computed straight from the
-    sessions' cached arrays.
+    The refinement service's session registry keeps its tenants here: each
+    session is built once and reused — warm bit columns, warm partitions —
+    for every round, and aggregate quality metrics (summed utility, pooled
+    predicted labels) are computed straight from the sessions' cached
+    arrays.
 
     Sessions added with a parallel policy or a shared evaluator pool hold
     worker-pool slots; the pool-level :meth:`close` (or the context manager)
-    releases all of them in one call, so a multi-entity experiment cannot
-    leak worker processes even when one entity's selection raises.
+    releases all of them in one call, so a pool of sessions cannot leak
+    worker processes even when one session's selection raises.
     """
 
     def __init__(self) -> None:
@@ -465,9 +464,9 @@ class SessionPool:
 
         The keywords are those of :class:`RefinementSession`: ``parallel``
         (or ``runtime.workers``) gives the new session a private worker pool;
-        ``evaluator_pool`` instead attaches it to a shared pool (how an
-        experiment or a multi-tenant server keeps the worker count
-        independent of the session count).
+        ``evaluator_pool`` instead attaches it to a shared pool (how a
+        multi-tenant server keeps the worker count independent of the
+        session count).
         """
         if key in self._sessions:
             raise SelectionError(f"session pool already contains key {key!r}")

@@ -2,23 +2,22 @@
 
 The experiment runner mirrors the paper's setup: every entity (book) gets its
 own fact set, prior distribution (from a machine-only fusion method), a task
-budget ``B`` and a per-round task count ``k``; rounds are executed for all
-entities in lock-step and after every global pass the summed utility and the
-F1-score of the thresholded labels are recorded, producing the
-quality-vs-cost curves of the figures.
+budget ``B`` and a per-round task count ``k``.  The paper accumulates cost
+over the whole collection pass by pass — pass ``r`` is every entity's
+``r``-th round — and records the summed utility and the F1-score of the
+thresholded labels after each pass, producing the quality-vs-cost curves of
+the figures.
 
-The lock-step loop runs on a batched
-:class:`~repro.core.selection.session.SessionPool`: one persistent
-:class:`~repro.core.selection.session.RefinementSession` per entity, built
-before the first pass and reweighted in place after every merge, so all
-entities' candidate sets are scored against shared cached state (warm bit
-columns and partitions) in every global pass instead of rebuilding one
-selection engine per entity per pass.  Curve points come straight from the
-sessions' cached arrays — no per-pass distribution materialisation at all.
-With ``RuntimeOptions.workers`` set, every entity's session attaches to one
-shared :class:`~repro.core.selection.parallel.EvaluatorPool`, so the whole
-experiment keeps at most ``workers`` scan processes alive and forks them
-once.
+Entities are independent, so they are not interleaved: each runs its
+complete trajectory (:func:`run_entity_trajectory`: one persistent
+:class:`~repro.core.selection.session.RefinementSession` driven by
+:func:`~repro.core.engine.refinement_rounds`), and :func:`assemble_curve`
+splices the per-round records back into the pass-aligned points.  The same
+unit of work runs in process, in the entity fan-out pool, in the durable
+orchestrator's shards and on cluster workers, so every path yields the same
+floats.  With ``RuntimeOptions.workers`` set, the entity being refined owns a
+private candidate-scan pool for the length of its trajectory, so at most
+``workers`` scan processes are alive at any time.
 
 The crowd may be modelled at three fidelities (``ExperimentConfig.crowd_model``):
 
@@ -33,7 +32,6 @@ The crowd may be modelled at three fidelities (``ExperimentConfig.crowd_model``)
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import warnings
 from dataclasses import dataclass, field
@@ -46,15 +44,12 @@ from repro.core.crowd import (
     DifficultyAdjustedCrowdModel,
 )
 from repro.core.distribution import JointDistribution
+from repro.core.engine import refinement_rounds
 from repro.core.facts import FactSet
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import TaskSelector, get_selector
-from repro.core.selection.parallel import (
-    EvaluatorPool,
-    ParallelPolicy,
-    ParallelSelectorMixin,
-)
-from repro.core.selection.session import RefinementSession, SessionPool
+from repro.core.selection.parallel import ParallelPolicy, ParallelSelectorMixin
+from repro.core.selection.session import RefinementSession
 from repro.correlation.builder import JointDistributionBuilder
 from repro.correlation.rules import CorrelationRule
 from repro.crowdsim.platform import SimulatedPlatform
@@ -210,12 +205,16 @@ class ExperimentConfig:
           accumulate, on top of whichever ``crowd_model`` fidelity it
           started from;
         * ``workers`` / ``parallel_threshold`` — candidate scans of the
-          greedy family shard across one worker pool shared by every entity
-          (at most ``workers`` processes alive for the whole run);
+          greedy family shard across a worker pool owned by the entity being
+          refined (entities run one after another, so at most ``workers``
+          processes are alive);
         * ``parallel_entities`` — whole entity trajectories fan out across a
-          process pool of this size, and the lock-step curve is reassembled
-          with points identical to the serial loop's (mutually exclusive
-          with ``workers``).
+          process pool of this size, with curve points identical to the
+          in-process run's (mutually exclusive with ``workers``).
+
+        The durable sweeps (:mod:`repro.orchestration`) run every entity
+        serially inside their own shard processes and refuse both
+        ``workers`` and ``parallel_entities``.
     """
 
     selector: str = "greedy_prune_pre"
@@ -293,17 +292,6 @@ class ExperimentResult:
         return [point.utility for point in self.points]
 
 
-@dataclass
-class _EntityState:
-    """Mutable per-entity state while an experiment is running."""
-
-    problem: EntityProblem
-    session: RefinementSession
-    platform: SimulatedPlatform
-    selector: TaskSelector
-    remaining_budget: int
-
-
 def _build_channel(
     config: ExperimentConfig, problem: EntityProblem, platform: SimulatedPlatform
 ) -> ChannelModel:
@@ -353,8 +341,7 @@ def _prepare_entity(
 ) -> "Tuple[SimulatedPlatform, ChannelModel, TaskSelector, int]":
     """Platform, channel, selector and budget for one entity.
 
-    Shared by the serial lock-step loop and the entity fan-out workers: both
-    derive every random stream from ``config.seed`` and the entity's global
+    Every random stream derives from ``config.seed`` and the entity's global
     ``index``, so an entity's whole trajectory is identical no matter which
     process runs it.
     """
@@ -380,24 +367,6 @@ def _prepare_entity(
     return platform, channel, selector, budget
 
 
-def _measure(
-    pool: SessionPool, states: Sequence[_EntityState], cost: int
-) -> QualityPoint:
-    """Compute one curve point straight from the session pool's cached arrays."""
-    gold: Dict[str, bool] = {}
-    for state in states:
-        gold.update(state.problem.gold)
-    scores = classification_scores(pool.predicted_labels(), gold)
-    return QualityPoint(
-        cost=cost,
-        utility=pool.total_utility(),
-        f1=scores.f1,
-        precision=scores.precision,
-        recall=scores.recall,
-        accuracy=scores.accuracy,
-    )
-
-
 def run_quality_experiment(
     problems: Sequence[EntityProblem],
     config: ExperimentConfig,
@@ -405,15 +374,10 @@ def run_quality_experiment(
 ) -> ExperimentResult:
     """Run the budgeted refinement over all entities and record the quality curve.
 
-    Rounds are interleaved across entities (every entity runs its ``r``-th
-    round before any entity runs round ``r + 1``), and a curve point is
-    recorded after each global pass — matching how the paper accumulates cost
-    over the whole book collection.  All entities refine through one
-    :class:`SessionPool`, so each global pass scores candidate sets against
-    the cached per-entity engines instead of rebuilding them.  With
-    ``workers`` configured, all sessions attach to one shared
-    :class:`EvaluatorPool`, created for this call and closed before it
-    returns.
+    Every entity runs its complete trajectory (:func:`run_entity_trajectory`)
+    — in process, or across a fork pool of ``parallel_entities`` workers —
+    and :func:`assemble_curve` records a point after each global pass,
+    matching how the paper accumulates cost over the whole book collection.
 
     ``budgets`` optionally overrides the per-entity budget (keyed by entity
     id); entities not listed fall back to ``config.budget_per_entity``.  This
@@ -422,92 +386,40 @@ def run_quality_experiment(
     """
     if not problems:
         raise CrowdFusionError("cannot run an experiment without entity problems")
+    problems = list(problems)
     budget_overrides = dict(budgets or {})
     runtime = config.runtime_options
-
-    if runtime.parallel_entities is not None:
-        return _run_fanned_out(list(problems), config, budget_overrides)
-
-    policy = runtime.parallel_policy
-    shared = EvaluatorPool(policy) if policy is not None else None
-    pool = SessionPool()
-    states: List[_EntityState] = []
-    for index, problem in enumerate(problems):
-        platform, channel, selector, budget = _prepare_entity(
-            problem, index, config, budget_overrides
-        )
-        if (
-            shared is not None
-            and index == 0
-            and not isinstance(selector, ParallelSelectorMixin)
-        ):
-            warnings.warn(
-                f"selector {config.selector!r} does not support parallel "
-                "candidate scans; the workers/parallel_threshold settings are "
-                "ignored",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        states.append(
-            _EntityState(
-                problem=problem,
-                session=pool.add(
-                    problem.entity, problem.prior, channel, runtime=runtime,
-                    evaluator_pool=shared,
-                ),
-                platform=platform,
-                selector=selector,
-                remaining_budget=budget,
-            )
+    if runtime.workers is not None and not isinstance(
+        get_selector(config.selector), ParallelSelectorMixin
+    ):
+        warnings.warn(
+            f"selector {config.selector!r} does not support parallel "
+            "candidate scans; the workers/parallel_threshold settings are "
+            "ignored",
+            RuntimeWarning,
+            stacklevel=2,
         )
 
-    result = ExperimentResult(config=config)
-    # Calibration pre-tests spend real platform answers before the first
-    # refinement round; put that spend on the books so the quality-vs-cost
-    # curves of the three crowd-model fidelities are comparable.
-    total_cost = sum(state.platform.stats().answers_collected for state in states)
-    result.points.append(_measure(pool, states, total_cost))
+    if runtime.parallel_entities is None:
+        trajectories = [
+            run_entity_trajectory(problem, index, config, budget_overrides)
+            for index, problem in enumerate(problems)
+        ]
+    else:
+        trajectories = _fan_out(problems, config, budget_overrides)
 
-    # Leaving the contexts detaches every session and terminates the shared
-    # pool's workers — including when a selector raises mid-pass.
-    with shared if shared is not None else contextlib.nullcontext(), pool:
-        # Attach every engine before the first scan, so the shared pool forks
-        # once with all of them instead of re-forking as each entity joins.
-        for state in states:
-            state.session.shared_evaluator()
-        while any(state.remaining_budget > 0 for state in states):
-            progressed = False
-            for state in states:
-                if state.remaining_budget <= 0:
-                    continue
-                k = min(config.k, state.remaining_budget, state.session.num_facts)
-                selection = state.selector.select_with_session(state.session, k)
-                if not selection.task_ids:
-                    state.remaining_budget = 0
-                    state.session.close()
-                    continue
-                answers = state.platform.collect(selection.task_ids)
-                state.session.merge(answers)
-                state.remaining_budget -= len(selection.task_ids)
-                total_cost += len(selection.task_ids)
-                progressed = True
-                if state.remaining_budget <= 0:
-                    # This entity will never scan again: detach it now (the
-                    # shared pool's workers exit once the last entity has).
-                    state.session.close()
-            if not progressed:
-                break
-            result.points.append(_measure(pool, states, total_cost))
-
-    return result
+    gold: Dict[str, bool] = {}
+    for problem in problems:
+        gold.update(problem.gold)
+    return ExperimentResult(config=config, points=assemble_curve(trajectories, gold))
 
 
-# -- cross-entity fan-out ---------------------------------------------------------
+# -- entity trajectories ----------------------------------------------------------
 
 
 @dataclass
 class TrajectoryRound:
-    """One entity round as recorded by a trajectory worker."""
+    """One entity round as recorded by :func:`run_entity_trajectory`."""
 
     tasks_asked: int
     utility: float
@@ -538,65 +450,59 @@ def run_entity_trajectory(
     config: ExperimentConfig,
     budget_overrides: Optional[Mapping[str, int]] = None,
 ) -> EntityTrajectory:
-    """Run entity ``index``'s complete refinement trajectory, serially.
+    """Run entity ``index``'s complete refinement trajectory.
 
-    Entities are independent for the whole run (the lock-step interleaving
-    only matters for when curve points are *recorded*), so one entity's
-    rounds can run back to back in any process; the caller reassembles
-    pass-aligned curve points from the per-round records with
-    :func:`assemble_curve`.  All randomness derives from ``config.seed`` and
-    the entity's global ``index`` exactly as in the serial loop
-    (:func:`_prepare_entity`), so the records are bit-for-bit what the serial
-    loop would have produced — no matter which process, or which *run*, they
-    are computed in.  This is the unit of work shared by the in-memory
-    fan-out pool and the checkpointed orchestrator shards.
+    This is the unit of work of every experiment path: in process, the
+    entity fan-out pool, the checkpointed orchestrator's shards and the
+    cluster workers.  All randomness derives from ``config.seed`` and the
+    entity's global ``index`` (:func:`_prepare_entity`), so the records are
+    bit-for-bit the same no matter which process, or which *run*, computes
+    them; :func:`assemble_curve` splices them into the pass-aligned curve.
+    The session gets ``config.runtime_options`` as they are: with
+    ``workers`` set it owns a private scan pool, closed when the trajectory
+    ends — also when a selector raises.
     """
     platform, channel, selector, budget = _prepare_entity(
         problem, index, config, dict(budget_overrides or {})
     )
-    session = RefinementSession(
-        problem.prior,
-        channel,
-        runtime=RuntimeOptions(recalibrate=config.runtime_options.recalibrate),
-    )
-    trajectory = EntityTrajectory(
-        # Only calibration pre-tests have spent platform answers at this
-        # point — the same spend the serial loop books into the cost-0 point.
-        initial_cost=platform.stats().answers_collected,
-        initial_utility=session.utility(),
-        initial_labels=session.predicted_labels(),
-        rounds=[],
-    )
-    remaining = budget
-    while remaining > 0:
-        k = min(config.k, remaining, session.num_facts)
-        selection = selector.select_with_session(session, k)
-        if not selection.task_ids:
-            break
-        answers = platform.collect(selection.task_ids)
-        session.merge(answers)
-        remaining -= len(selection.task_ids)
-        trajectory.rounds.append(
-            TrajectoryRound(
-                tasks_asked=len(selection.task_ids),
-                utility=session.utility(),
-                labels=session.predicted_labels(),
-            )
+    with RefinementSession(
+        problem.prior, channel, runtime=config.runtime_options
+    ) as session:
+        trajectory = EntityTrajectory(
+            # Only calibration pre-tests have spent platform answers so far;
+            # booking them into the cost-0 point keeps the curves of the
+            # three crowd-model fidelities comparable.
+            initial_cost=platform.stats().answers_collected,
+            initial_utility=session.utility(),
+            initial_labels=session.predicted_labels(),
+            rounds=[],
         )
+        for selection, _answers in refinement_rounds(
+            session, selector, platform.collect, budget, config.k
+        ):
+            trajectory.rounds.append(
+                TrajectoryRound(
+                    tasks_asked=len(selection.task_ids),
+                    utility=session.utility(),
+                    labels=session.predicted_labels(),
+                )
+            )
     return trajectory
 
 
 def assemble_curve(
     trajectories: Sequence[EntityTrajectory], gold: Mapping[str, bool]
 ) -> List[QualityPoint]:
-    """Reassemble the global lock-step curve from per-entity trajectories.
+    """Build the pass-aligned quality curve from per-entity trajectories.
 
-    The point after pass ``r`` aggregates every entity's state after its
-    ``min(r, rounds)``-th round, summing utilities and pooling labels in
-    entity order — the identical floats, in the identical order, the serial
-    loop produces.  Shared by the in-memory fan-out and the orchestrator's
-    resume path, which is what makes "resumed run ≡ undisturbed run" a
-    property of this one function rather than of two reimplementations.
+    Pass ``r`` is every entity's ``r``-th round, as if the entities had
+    refined in lock-step.  The point after pass ``r`` aggregates every
+    entity's state after its ``min(r, rounds)``-th round, summing utilities
+    and pooling labels in entity order, and its cost adds every round run so
+    far (calibration spend included).  Every experiment path builds its
+    curve here — in process, fanned out, orchestrated (resumed or not) and
+    clustered — which is what makes "resumed run ≡ undisturbed run ≡
+    in-process run" a property of this one function.
     """
 
     def point(round_index: int, cost: int) -> QualityPoint:
@@ -635,6 +541,8 @@ def assemble_curve(
     return points
 
 
+# -- cross-entity fan-out ---------------------------------------------------------
+
 #: Fan-out work published to the fork pool: ``(problems, config, overrides)``.
 #: Set immediately before the pool forks and cleared right after — workers
 #: inherit the tuple through copy-on-write memory, nothing is pickled out.
@@ -651,19 +559,15 @@ def _entity_trajectory(index: int) -> EntityTrajectory:
     return run_entity_trajectory(problems[index], index, config, budget_overrides)
 
 
-def _run_fanned_out(
+def _fan_out(
     problems: List[EntityProblem],
     config: ExperimentConfig,
     budget_overrides: Dict[str, int],
-) -> ExperimentResult:
-    """The lock-step experiment with whole entities fanned out across a pool.
+) -> List[EntityTrajectory]:
+    """Every entity's trajectory, computed across a fork pool.
 
-    Workers inherit the problem list through a fork (nothing is shipped out),
-    each runs its entities' full trajectories, and the parent reassembles the
-    global pass curve: the point after pass ``r`` aggregates every entity's
-    state after its ``min(r, rounds)``-th round, summing utilities and
-    pooling labels in entity order — the identical floats, in the identical
-    order, the serial loop produces.
+    Workers inherit the problem list through the fork (nothing is shipped
+    out) and send back only the trajectories, in entity order.
     """
     global _FANOUT_CONTEXT
     context = multiprocessing.get_context("fork")
@@ -671,16 +575,8 @@ def _run_fanned_out(
     _FANOUT_CONTEXT = (problems, config, budget_overrides)
     try:
         with context.Pool(processes=processes) as worker_pool:
-            trajectories = worker_pool.map(
+            return worker_pool.map(
                 _entity_trajectory, range(len(problems)), chunksize=1
             )
     finally:
         _FANOUT_CONTEXT = None
-
-    gold: Dict[str, bool] = {}
-    for problem in problems:
-        gold.update(problem.gold)
-
-    result = ExperimentResult(config=config)
-    result.points.extend(assemble_curve(trajectories, gold))
-    return result

@@ -80,6 +80,7 @@ from repro.orchestration.orchestrator import (
     _RunState,
     assemble_result,
     check_manifest,
+    check_serial_runtime,
     entity_done_record,
 )
 from repro.service.api import MAX_LINE_BYTES
@@ -774,6 +775,7 @@ def run_cluster_experiment(
     """
     if not problems:
         raise OrchestrationError("cannot orchestrate an empty problem list")
+    check_serial_runtime(config)
     if cluster.local_workers and not fork_available():
         raise OrchestrationError(
             "local cluster workers fork from the coordinator, which this "

@@ -143,11 +143,14 @@ def run_shard_worker(
     """Serve lease grants from the coordinator until it says shutdown.
 
     Returns a :class:`WorkerSummary` on a clean shutdown; raises
-    :class:`OrchestrationError` when the coordinator refuses the handshake
-    (wrong sweep) or stays unreachable past the reconnect window.
+    :class:`OrchestrationError` when ``config`` asks for parallel scans or
+    entity fan-out (a worker runs its entities serially), when the
+    coordinator refuses the handshake (wrong sweep) or when it stays
+    unreachable past the reconnect window.
     """
-    from repro.orchestration.orchestrator import _fingerprint
+    from repro.orchestration.orchestrator import _fingerprint, check_serial_runtime
 
+    check_serial_runtime(config)
     digest = wire.fingerprint_digest(
         _fingerprint(problems, config, dict(budget_overrides))
     )

@@ -154,6 +154,25 @@ def _fingerprint(
     }
 
 
+def check_serial_runtime(config: ExperimentConfig) -> None:
+    """Refuse the parallel settings a durable sweep would silently ignore.
+
+    Durable sweeps run each entity serially inside a shard process:
+    orchestrator shards and cluster local workers are daemonic, so they
+    cannot fork a scan pool, and cluster workers run a heartbeat thread,
+    which makes forking unsafe.
+    """
+    runtime = config.runtime_options
+    for name in ("workers", "parallel_entities"):
+        value = getattr(runtime, name)
+        if value is not None:
+            raise OrchestrationError(
+                "durable sweeps run every entity serially inside a shard "
+                f"process and cannot honour {name}={value}; scale out with "
+                "shards or cluster workers instead"
+            )
+
+
 def check_manifest(
     run_dir: str, fingerprint: Dict[str, Any], resume: bool
 ) -> None:
@@ -410,6 +429,7 @@ def run_checkpointed_experiment(
     """
     if not problems:
         raise OrchestrationError("cannot orchestrate an empty problem list")
+    check_serial_runtime(config)
     if not fork_available():
         raise OrchestrationError(
             "the durable orchestrator shards work via the 'fork' start "

@@ -1,11 +1,10 @@
 """Session bookkeeping: addressable ids, budgets and per-tenant runtime state.
 
 The registry is the service's source of truth for "which sessions exist".
-Sessions live in a :class:`~repro.core.selection.session.SessionPool` (the
-same substrate the batch experiment runner uses), and every session carries
-a :class:`SessionRecord` with the service-level state the core runtime
-doesn't know about: the remaining task budget, the per-tenant selector
-instance, and the generation-keyed response caches.
+Sessions live in a :class:`~repro.core.selection.session.SessionPool`, and
+every session carries a :class:`SessionRecord` with the service-level state
+the core runtime doesn't know about: the remaining task budget, the
+per-tenant selector instance, and the generation-keyed response caches.
 """
 
 from __future__ import annotations

@@ -66,20 +66,21 @@ needs_dev_shm = pytest.mark.skipif(
 
 @needs_dev_shm
 def test_sigterm_unlinks_the_segment_and_preserves_exit_status():
-    child = _spawn_child("time.sleep(60)")
-    try:
-        name = child.stdout.readline().strip()
-        assert name, "child never reported its segment name"
-        segment = _segment_path(name)
-        assert segment.exists(), "child's live segment should be visible"
+    # Leaving the ``with`` closes the child's pipes.
+    with _spawn_child("time.sleep(60)") as child:
+        try:
+            name = child.stdout.readline().strip()
+            assert name, "child never reported its segment name"
+            segment = _segment_path(name)
+            assert segment.exists(), "child's live segment should be visible"
 
-        child.send_signal(signal.SIGTERM)
-        child.wait(timeout=10)
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait()
-    stderr = child.stderr.read()
+            child.send_signal(signal.SIGTERM)
+            child.wait(timeout=10)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        stderr = child.stderr.read()
 
     # The guard reaps the segment, then chains to the default disposition so
     # the exit status still reads "terminated by SIGTERM".
@@ -90,15 +91,15 @@ def test_sigterm_unlinks_the_segment_and_preserves_exit_status():
 
 @needs_dev_shm
 def test_atexit_reaps_rings_never_closed():
-    child = _spawn_child("sys.exit(0)")
-    try:
-        name = child.stdout.readline().strip()
-        child.wait(timeout=10)
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait()
-    stderr = child.stderr.read()
+    with _spawn_child("sys.exit(0)") as child:
+        try:
+            name = child.stdout.readline().strip()
+            child.wait(timeout=10)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        stderr = child.stderr.read()
 
     assert child.returncode == 0
     assert name, "child never reported its segment name"

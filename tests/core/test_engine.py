@@ -1,15 +1,25 @@
 """Unit tests for the multi-round CrowdFusionEngine."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel
 from repro.core.distribution import JointDistribution
 from repro.core.engine import CrowdFusionEngine
-from repro.core.selection import get_selector
+from repro.core.facts import Fact, FactSet
+from repro.core.runtime import RuntimeOptions
+from repro.core.selection import GreedySelector, get_selector
+from repro.core.selection.session import RefinementSession
 from repro.crowdsim.platform import SimulatedPlatform
 from repro.crowdsim.worker import WorkerPool
 from repro.datasets.running_example import running_example_distribution
+from repro.evaluation.experiment import (
+    EntityProblem,
+    ExperimentConfig,
+    run_entity_trajectory,
+)
 from repro.exceptions import BudgetError
 
 
@@ -153,3 +163,74 @@ class TestEngineRun:
         # engine terminates without spending the budget.
         assert result.total_cost == 0
         assert result.rounds == []
+
+    def test_rounds_chain_utilities_and_costs(self):
+        """The round loop's contracts, under re-calibration and no re-asking:
+        each round starts exactly where the previous one ended, round 1 at
+        the prior, and the cost is the running sum of the round sizes."""
+        dist = running_example_distribution()
+        platform = SimulatedPlatform(
+            ground_truth=GOLD, workers=WorkerPool.homogeneous(10, 0.75, seed=3)
+        )
+        engine = CrowdFusionEngine(
+            get_selector("greedy"),
+            CrowdModel(0.8),
+            budget=3,
+            tasks_per_round=2,
+            reselect_asked_facts=False,
+            runtime=RuntimeOptions(recalibrate=True),
+        )
+        result = engine.run(dist, platform)
+
+        assert [len(record.task_ids) for record in result.rounds] == [2, 1]
+        prior = RefinementSession(dist, CrowdModel(0.8)).utility()
+        assert result.rounds[0].utility_before == prior
+        for previous, record in zip(result.rounds, result.rounds[1:]):
+            assert record.utility_before == previous.utility_after
+        running = 0
+        for index, record in enumerate(result.rounds, start=1):
+            running += len(record.task_ids)
+            assert record.round_index == index
+            assert record.cumulative_cost == running
+
+
+class FailsOnRoundTwo(GreedySelector):
+    """Greedy selection that records the live worker count after round 1's
+    scan and raises when asked for round 2."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds = 0
+        self.alive_after_round_one = None
+
+    def select_with_session(self, session, k, exclude=()):
+        self.rounds += 1
+        if self.rounds == 2:
+            raise RuntimeError("injected selection failure")
+        result = super().select_with_session(session, k, exclude=exclude)
+        self.alive_after_round_one = len(multiprocessing.active_children())
+        return result
+
+
+@pytest.mark.parallel
+def test_trajectory_releases_its_scan_pool_when_a_round_raises(monkeypatch):
+    dist = running_example_distribution()
+    problem = EntityProblem(
+        entity="running",
+        facts=FactSet([Fact(f, "running", "attr", f) for f in dist.fact_ids]),
+        prior=dist,
+        gold=GOLD,
+    )
+    selector = FailsOnRoundTwo()
+    monkeypatch.setattr(
+        "repro.evaluation.experiment.get_selector", lambda *args, **kwargs: selector
+    )
+    config = ExperimentConfig(
+        selector="greedy", k=2, budget_per_entity=6,
+        runtime=RuntimeOptions(workers=2, parallel_threshold=0),
+    )
+    with pytest.raises(RuntimeError, match="injected selection failure"):
+        run_entity_trajectory(problem, 0, config)
+
+    assert selector.alive_after_round_one == 2, "round 1 never used the pool"
+    assert multiprocessing.active_children() == []

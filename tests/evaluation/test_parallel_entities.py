@@ -2,8 +2,8 @@
 
 Entities are independent between curve points (each derives every random
 stream from ``config.seed`` and its global index), so fanning whole entity
-trajectories out across a fork pool and reassembling the lock-step curve
-must reproduce the serial loop's points exactly — same costs, same summed
+trajectories out across a fork pool and assembling the pass-aligned curve
+must reproduce the in-process run's points exactly — same costs, same summed
 utilities, same classification scores, in the same order.  The suite also
 covers the configuration validation that guards the parallel flags.
 """
@@ -155,9 +155,12 @@ class TestSharedPoolExperiment:
         )
         assert_identical_curves(serial, pooled)
 
-    def test_experiment_keeps_one_shared_pool(self, problems, monkeypatch):
-        """At most ``workers`` scan processes alive at any time, at most one
-        pool fork per entity, and nothing left behind after the call."""
+    def test_experiment_keeps_at_most_workers_scan_processes(
+        self, problems, monkeypatch
+    ):
+        """Each entity's session owns its scan pool while it refines: at most
+        ``workers`` scan processes alive at any time, at most one pool fork
+        per entity, and nothing left behind after the call."""
         workers = 2
         config = ExperimentConfig(
             selector="greedy", k=2, budget_per_entity=6, seed=11,

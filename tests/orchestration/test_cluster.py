@@ -10,10 +10,13 @@ in ``tests/chaos/test_cluster_recovery.py``.
 """
 
 import os
+import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
+from repro.core.runtime import RuntimeOptions
 from repro.datasets import BookCorpusConfig, generate_book_corpus
 from repro.evaluation import build_problems, run_quality_experiment
 from repro.evaluation.experiment import ExperimentConfig
@@ -50,6 +53,13 @@ def problems():
 
 
 CONFIG = ExperimentConfig(selector="greedy_prune_pre", k=3, budget_per_entity=9, seed=11)
+
+#: Parallel settings a durable sweep cannot honour: workers run every entity
+#: serially, next to a heartbeat thread that makes forking unsafe.
+PARALLEL_RUNTIMES = [
+    pytest.param(RuntimeOptions(workers=2, parallel_threshold=0), id="workers"),
+    pytest.param(RuntimeOptions(parallel_entities=2), id="parallel_entities"),
+]
 
 
 def assert_identical_curves(expected, actual):
@@ -128,6 +138,26 @@ class TestClusterConfigValidation:
     def test_empty_problem_list_is_refused(self, tmp_path):
         with pytest.raises(OrchestrationError, match="empty problem list"):
             run_cluster_experiment([], CONFIG, cluster_config(tmp_path))
+
+    @pytest.mark.parametrize("runtime", PARALLEL_RUNTIMES)
+    def test_coordinator_refuses_parallel_settings(self, problems, tmp_path, runtime):
+        cluster = cluster_config(tmp_path)
+        with pytest.raises(OrchestrationError, match="cannot honour"):
+            run_with_thread_workers(
+                problems, replace(CONFIG, runtime=runtime), cluster, workers=1
+            )
+        assert not os.path.exists(cluster.run_dir), "refused before binding"
+
+    @pytest.mark.parametrize("runtime", PARALLEL_RUNTIMES)
+    def test_shard_worker_refuses_parallel_settings(self, problems, runtime):
+        with socket.socket() as probe:  # a loopback port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(OrchestrationError, match="cannot honour"):
+            run_shard_worker(
+                problems, replace(CONFIG, runtime=runtime), {}, "127.0.0.1",
+                port, "pooled", reconnect_window_s=0.2,
+            )
 
 
 class TestClusterEquivalence:

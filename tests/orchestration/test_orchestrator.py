@@ -10,9 +10,11 @@ the fault plan's ``fail_entity_at`` injector.
 
 import io
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.core.runtime import RuntimeOptions
 from repro.datasets import BookCorpusConfig, generate_book_corpus
 from repro.evaluation import build_problems, run_quality_experiment
 from repro.evaluation.experiment import ExperimentConfig
@@ -147,6 +149,27 @@ class TestRunDirectory:
             run_checkpointed_experiment(
                 problems, other, OrchestratorConfig(run_dir=run_dir, shards=2, resume=True)
             )
+
+
+#: Parallel settings a durable sweep cannot honour: every entity runs
+#: serially inside a (daemonic) shard process.
+PARALLEL_RUNTIMES = [
+    pytest.param(RuntimeOptions(workers=2, parallel_threshold=0), id="workers"),
+    pytest.param(RuntimeOptions(parallel_entities=2), id="parallel_entities"),
+]
+
+
+class TestSerialRuntime:
+    @pytest.mark.parametrize("runtime", PARALLEL_RUNTIMES)
+    def test_parallel_settings_are_refused(self, problems, tmp_path, runtime):
+        run_dir = str(tmp_path / "run")
+        with pytest.raises(OrchestrationError, match="cannot honour"):
+            run_checkpointed_experiment(
+                problems,
+                replace(CONFIG, runtime=runtime),
+                OrchestratorConfig(run_dir=run_dir, shards=2),
+            )
+        assert not os.path.exists(run_dir), "refused before touching the run dir"
 
 
 class TestResume:

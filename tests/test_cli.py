@@ -161,6 +161,21 @@ class TestParallelFlags:
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_durable_sweep_refuses_workers(self, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        code = main(
+            [
+                "experiment", "--books", "6", "--budget", "6", "--k", "3",
+                "--seed", "5", "--run-dir", str(run_dir), "--workers", "2",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: durable sweeps" in captured.err
+        assert "workers=2" in captured.err
+        assert captured.out == ""
+        assert not run_dir.exists()
+
 
 @pytest.mark.parallel
 class TestParallelCommands:
