@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import multiprocessing
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -116,17 +117,28 @@ def build_problems(
         Optional factory producing correlation rules per entity; when omitted
         the prior is the independent product of the fusion marginals.
     entities:
-        Restrict the problems to these entities (default: all entities).
+        Restrict the problems to these entities (default: all entities), one
+        problem per entity in the given order.  Unknown or repeated ids raise
+        :class:`DatasetError` before anything is fused.
     """
+    if entities is None:
+        wanted = list(database.entities())
+    else:
+        wanted = list(entities)
+        counts = Counter(wanted)
+        unknown = [entity for entity in counts if not database.claims_for(entity)]
+        repeated = [entity for entity, count in counts.items() if count > 1]
+        if unknown or repeated:
+            raise DatasetError(
+                f"build_problems(entities=...) names unknown entities {unknown} "
+                f"and repeated entities {repeated}"
+            )
     result = fusion_method.run(database)
     difficulty_map = dict(difficulties or {})
-    wanted = list(entities) if entities is not None else list(database.entities())
     problems: List[EntityProblem] = []
 
     for entity in wanted:
         claims = list(database.claims_for(entity))
-        if not claims:
-            continue
         claims.sort(key=lambda claim: (-claim.support, claim.claim_id))
         if max_facts_per_entity is not None:
             claims = claims[:max_facts_per_entity]

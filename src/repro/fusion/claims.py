@@ -9,7 +9,7 @@ each claim as a binary fact ("is this claimed value correct?").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import FusionError
 
@@ -61,19 +61,40 @@ class Claim:
         return len(self.sources)
 
 
+class _ReadIndex(NamedTuple):
+    """Every read of a :class:`ClaimDatabase`, materialised in one pass."""
+
+    claims: Tuple[Claim, ...]
+    by_entity: Dict[str, Tuple[Claim, ...]]
+    by_source: Dict[str, Tuple[Claim, ...]]
+
+
 class ClaimDatabase:
     """A table of source observations, grouped into distinct claims.
 
     Observations are added one at a time; the database deduplicates values
     per data item and tracks which sources support each distinct value.
+
+    Reads are served from an index that holds the :meth:`claims` tuple and
+    the claims of each entity and of each source.  The first read after a
+    write builds it in one pass over the observations, O(observations).
+    Later reads share its tuples, so :meth:`claims`, :meth:`claims_for` and
+    :meth:`observations_of` cost O(1) and :meth:`entities` O(entities); a
+    fusion method that visits every entity's claims in every iteration pays
+    O(claims) per iteration.  A write makes the index stale only when it
+    changes a claim: a new ``(entity, attribute, value)`` triple, or a new
+    source for an existing one.  Repeating an observation and
+    :meth:`add_source` keep it.  So a burst of writes followed by reads
+    builds the index once, while single writes interleaved with reads
+    rebuild it after every write.
     """
 
     def __init__(self) -> None:
         self._sources: Dict[str, Source] = {}
-        # (entity, attribute, value) -> set of source ids
+        # (entity, attribute, value) -> source ids, in first-seen order of the triples
         self._observations: Dict[Tuple[str, str, str], Set[str]] = {}
-        # insertion order of distinct (entity, attribute, value) triples
-        self._order: List[Tuple[str, str, str]] = []
+        # None until the first read, and again after a write that changes a claim
+        self._index: Optional[_ReadIndex] = None
 
     # -- building -----------------------------------------------------------------
 
@@ -92,16 +113,41 @@ class ClaimDatabase:
         if not value:
             raise FusionError("claimed value must be non-empty")
         self.add_source(source_id)
-        key = (entity, attribute, value)
-        if key not in self._observations:
-            self._observations[key] = set()
-            self._order.append(key)
-        self._observations[key].add(source_id)
+        supporters = self._observations.setdefault((entity, attribute, value), set())
+        if source_id not in supporters:
+            supporters.add(source_id)
+            self._index = None
+
+    def _read_index(self) -> _ReadIndex:
+        if self._index is None:
+            claims: List[Claim] = []
+            by_entity: Dict[str, List[Claim]] = {}
+            by_source: Dict[str, List[Claim]] = {}
+            for index, ((entity, attribute, value), supporters) in enumerate(
+                self._observations.items(), start=1
+            ):
+                claim = Claim(
+                    claim_id=f"c{index}",
+                    entity=entity,
+                    attribute=attribute,
+                    value=value,
+                    sources=frozenset(supporters),
+                )
+                claims.append(claim)
+                by_entity.setdefault(entity, []).append(claim)
+                for source_id in supporters:
+                    by_source.setdefault(source_id, []).append(claim)
+            self._index = _ReadIndex(
+                claims=tuple(claims),
+                by_entity={entity: tuple(group) for entity, group in by_entity.items()},
+                by_source={source: tuple(group) for source, group in by_source.items()},
+            )
+        return self._index
 
     # -- inspection -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._observations)
 
     def __iter__(self) -> Iterator[Claim]:
         return iter(self.claims())
@@ -117,48 +163,30 @@ class ClaimDatabase:
 
     def claims(self) -> Tuple[Claim, ...]:
         """Distinct claims in insertion order, with generated ids ``c1, c2, ...``."""
-        result = []
-        for index, (entity, attribute, value) in enumerate(self._order, start=1):
-            result.append(
-                Claim(
-                    claim_id=f"c{index}",
-                    entity=entity,
-                    attribute=attribute,
-                    value=value,
-                    sources=frozenset(self._observations[(entity, attribute, value)]),
-                )
-            )
-        return tuple(result)
+        return self._read_index().claims
 
     def data_items(self) -> Tuple[Tuple[str, str], ...]:
         """Distinct ``(entity, attribute)`` pairs, in first-seen order."""
-        seen: List[Tuple[str, str]] = []
-        for entity, attribute, _value in self._order:
-            if (entity, attribute) not in seen:
-                seen.append((entity, attribute))
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys((entity, attribute) for entity, attribute, _value in self._observations)
+        )
 
     def claims_for(self, entity: str, attribute: Optional[str] = None) -> Tuple[Claim, ...]:
         """Claims about one entity (optionally restricted to one attribute)."""
-        return tuple(
-            claim
-            for claim in self.claims()
-            if claim.entity == entity and (attribute is None or claim.attribute == attribute)
-        )
+        claims = self._read_index().by_entity.get(entity, ())
+        if attribute is None:
+            return claims
+        return tuple(claim for claim in claims if claim.attribute == attribute)
 
     def observations_of(self, source_id: str) -> Tuple[Claim, ...]:
         """Every claim asserted by ``source_id``."""
         if source_id not in self._sources:
             raise FusionError(f"unknown source {source_id!r}")
-        return tuple(claim for claim in self.claims() if source_id in claim.sources)
+        return self._read_index().by_source.get(source_id, ())
 
     def entities(self) -> Tuple[str, ...]:
         """Distinct entities, in first-seen order."""
-        seen: List[str] = []
-        for entity, _attribute, _value in self._order:
-            if entity not in seen:
-                seen.append(entity)
-        return tuple(seen)
+        return tuple(self._read_index().by_entity)
 
     @classmethod
     def from_observations(

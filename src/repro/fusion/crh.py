@@ -19,9 +19,9 @@ which is what the fusion pipeline converts into CrowdFusion's prior.
 from __future__ import annotations
 
 import math
-from typing import Dict, Set, Tuple
+from typing import Callable, Dict, Set, Tuple
 
-from repro.fusion.claims import ClaimDatabase
+from repro.fusion.claims import Claim, ClaimDatabase
 from repro.fusion.pipeline import FusionResult
 from repro.exceptions import FusionError
 
@@ -63,20 +63,22 @@ class ModifiedCRH:
         self._top_fraction = top_fraction
         self._smoothing = smoothing
 
-    # -- bootstrapping -----------------------------------------------------------------
+    # -- top-fraction labelling ---------------------------------------------------------
 
-    def _bootstrap_labels(self, database: ClaimDatabase) -> Set[str]:
-        """Mark the top-``top_fraction`` supported claims of each entity as correct."""
-        correct: Set[str] = set()
+    def _top_claims(
+        self, database: ClaimDatabase, key: Callable[[Claim], Tuple[float, str]]
+    ) -> Set[str]:
+        """Ids of the top-``top_fraction`` claims of each entity, ranked by ``key``.
+
+        Both keys break ties on the claim id compared as a string (so
+        ``"c10" < "c2"``); the priors depend on that order.
+        """
+        chosen: Set[str] = set()
         for entity in database.entities():
-            claims = sorted(
-                database.claims_for(entity), key=lambda claim: (-claim.support, claim.claim_id)
-            )
-            if not claims:
-                continue
+            claims = sorted(database.claims_for(entity), key=key)
             keep = max(1, math.ceil(len(claims) * self._top_fraction))
-            correct.update(claim.claim_id for claim in claims[:keep])
-        return correct
+            chosen.update(claim.claim_id for claim in claims[:keep])
+        return chosen
 
     # -- CRH iterations ------------------------------------------------------------------
 
@@ -86,9 +88,11 @@ class ModifiedCRH:
         if not claims:
             raise FusionError("cannot fuse an empty claim database")
         sources = [source.source_id for source in database.sources()]
-        claim_by_id = {claim.claim_id: claim for claim in claims}
 
-        current_truths = self._bootstrap_labels(database)
+        # Bootstrap: the best-supported claims of each entity are provisionally true.
+        current_truths = self._top_claims(
+            database, lambda claim: (-claim.support, claim.claim_id)
+        )
         weights: Dict[str, float] = {source_id: 1.0 for source_id in sources}
         iterations_run = 0
 
@@ -96,7 +100,10 @@ class ModifiedCRH:
             iterations_run = iteration
             new_weights = self._estimate_weights(database, current_truths)
             confidences = self._weighted_confidences(database, new_weights)
-            new_truths = self._truth_computation(database, confidences)
+            # Truth computation: the claims with the largest weighted vote are true.
+            new_truths = self._top_claims(
+                database, lambda claim: (-confidences[claim.claim_id], claim.claim_id)
+            )
 
             drift = sum(
                 abs(new_weights[source_id] - weights[source_id]) for source_id in sources
@@ -118,7 +125,6 @@ class ModifiedCRH:
                 blended[claim.claim_id] = 0.5 + 0.5 * vote
             else:
                 blended[claim.claim_id] = 0.5 * vote
-        del claim_by_id  # only needed for potential debugging hooks
         return FusionResult(
             method=self.name,
             confidences=blended,
@@ -177,19 +183,3 @@ class ModifiedCRH:
             total = totals[claim.data_item]
             confidences[claim.claim_id] = votes[claim.claim_id] / total if total > 0 else 0.0
         return confidences
-
-    def _truth_computation(
-        self, database: ClaimDatabase, confidences: Dict[str, float]
-    ) -> Set[str]:
-        """Declare the top-``top_fraction`` claims (by weighted vote) of each entity true."""
-        truths: Set[str] = set()
-        for entity in database.entities():
-            claims = sorted(
-                database.claims_for(entity),
-                key=lambda claim: (-confidences[claim.claim_id], claim.claim_id),
-            )
-            if not claims:
-                continue
-            keep = max(1, math.ceil(len(claims) * self._top_fraction))
-            truths.update(claim.claim_id for claim in claims[:keep])
-        return truths

@@ -1,5 +1,7 @@
 """Unit tests for the experiment runner (build_problems + run_quality_experiment)."""
 
+import re
+
 import pytest
 
 from repro.correlation.rules import MutualExclusionRule
@@ -87,6 +89,35 @@ class TestBuildProblems:
             build_problems(
                 corpus.database, corpus.gold, MajorityVote(), entities=["no-such-entity"]
             )
+
+    def test_unknown_entities_rejected_before_fusing(self, corpus):
+        first = corpus.database.entities()[0]
+        with pytest.raises(DatasetError, match=re.escape("unknown entities ['ghost-1', 'ghost-2']")):
+            build_problems(
+                corpus.database,
+                corpus.gold,
+                UnusableFusion(),
+                entities=["ghost-1", first, "ghost-2", "ghost-1"],
+            )
+
+    def test_repeated_entities_rejected_before_fusing(self, corpus):
+        first, second = corpus.database.entities()[:2]
+        with pytest.raises(DatasetError, match=re.escape(f"repeated entities {[first, second]}")):
+            build_problems(
+                corpus.database,
+                corpus.gold,
+                UnusableFusion(),
+                entities=[first, second, first, second],
+            )
+
+
+class UnusableFusion:
+    """A fusion method that fails if ``build_problems`` gets as far as fusing."""
+
+    name = "unusable"
+
+    def run(self, database):
+        raise AssertionError("build_problems fused before validating its entities")
 
 
 class TestRunQualityExperiment:
