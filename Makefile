@@ -42,13 +42,17 @@ bench-smoke:
 		benchmarks/bench_selection_hotpath.py -k session_pool_smoke
 
 # CI-sized exercise of the entropy engine's candidate scan and the packed
-# wide-fact representation: unit + property suites for the bit planes, the
-# wide-fact refinement suite (packed planes vs. the object-dtype engine), the
+# wide-fact representation: unit + property suites for the bit planes
+# (against Python-int masks), JointDistribution and the scale generator on
+# planes past 63 facts, the wide-fact refinement suite (the planes engine vs.
+# the test tree's object-dtype mask oracle and greedy_reference), the
 # batched-scan differential suite (the scan vs. the per-candidate NumPy and
 # scalar oracles, block independence), and the wide_facts benchmark scenario.
 engine-smoke:
 	$(PYTEST) -q \
 		tests/core/test_bitplanes.py \
+		tests/core/test_distribution.py \
+		tests/datasets/test_scale.py \
 		tests/core/selection/test_wide_facts.py \
 		tests/core/selection/test_batched_scan.py
 	$(PYTEST) -q benchmarks/bench_wide_facts.py

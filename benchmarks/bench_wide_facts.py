@@ -1,10 +1,11 @@
 """Packed wide-fact benchmark (``wide_facts/*``).
 
-A 128-fact corpus on packed uint64 bit planes must beat the legacy
-object-dtype (Python-int) mask engine by at least ``MIN_WIDE_FACTS_SPEEDUP``
-on one greedy round, with identical selections.  Asserted on every host:
-both paths are pure numpy + Python.  The row is recorded in
-``benchmarks/results/BENCH_selection.json`` (schema v3).
+A 128-fact corpus on packed uint64 bit planes must beat the object-dtype
+(Python-int) mask engine — the test tree's wide-fact oracle,
+``tests/core/selection/object_mask_engine.py`` — by at least
+``MIN_WIDE_FACTS_SPEEDUP`` on one greedy round, with identical selections.
+Asserted on every host: both paths are pure numpy + Python.  The row is
+recorded in ``benchmarks/results/BENCH_selection.json`` (schema v3).
 """
 
 import time
@@ -15,6 +16,7 @@ from repro.core.selection.greedy import run_greedy_on_engine
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
 
 from bench_selection_hotpath import _record_scenarios
+from tests.core.selection.object_mask_engine import ObjectMaskEngine
 
 ACCURACY = 0.8
 SEED = 5
@@ -33,15 +35,15 @@ def _scale_distribution(num_facts, support, seed=SEED):
     )
 
 
-def _one_round(distribution, crowd, *, packed):
-    engine = EntropyEngine(distribution, crowd, packed=packed)
+def _one_round(distribution, crowd, engine_type):
+    engine = engine_type(distribution, crowd)
     started = time.perf_counter()
     result = run_greedy_on_engine(engine, 1, distribution.fact_ids)
     return time.perf_counter() - started, result
 
 
 def test_wide_facts_packed_beats_object_path():
-    """128 facts, one greedy round: packed planes vs. the object-dtype engine."""
+    """128 facts, one greedy round: packed planes vs. the object-mask oracle."""
     distribution = _scale_distribution(WIDE_FACTS, WIDE_SUPPORT)
     crowd = CrowdModel(ACCURACY)
 
@@ -50,9 +52,9 @@ def test_wide_facts_packed_beats_object_path():
     # Fresh engines per repeat so both paths pay their bit-column extraction
     # inside the timed region — that extraction is exactly what packing fixes.
     for _ in range(3):
-        seconds, packed_result = _one_round(distribution, crowd, packed=True)
+        seconds, packed_result = _one_round(distribution, crowd, EntropyEngine)
         packed_seconds = min(packed_seconds, seconds)
-        seconds, object_result = _one_round(distribution, crowd, packed=False)
+        seconds, object_result = _one_round(distribution, crowd, ObjectMaskEngine)
         object_seconds = min(object_seconds, seconds)
 
     assert packed_result.task_ids == object_result.task_ids
@@ -64,9 +66,9 @@ def test_wide_facts_packed_beats_object_path():
         "description": (
             f"One greedy round (k=1, all {WIDE_FACTS} candidates) on a "
             f"{WIDE_FACTS}-fact, 2^15-row corpus: packed uint64 bit planes "
-            "vs. the legacy object-dtype Python-int mask engine.  Identical "
-            "selections asserted; the floor holds on any host (no optional "
-            "dependency)."
+            "vs. the object-dtype Python-int mask engine of the test tree "
+            "(the wide-fact oracle).  Identical selections asserted; the "
+            "floor holds on any host (no optional dependency)."
         ),
         "num_facts": WIDE_FACTS,
         "k": 1,

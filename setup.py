@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="3.2.0",
+    version="4.0.0",
     description=(
         "CrowdFusion: a crowdsourced approach on data fusion refinement "
         "(ICDE 2017) — full reproduction"

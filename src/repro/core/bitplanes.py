@@ -2,24 +2,18 @@
 
 Distributions of up to 63 facts keep their support masks in one ``int64``
 column and every engine kernel is a handful of vectorized integer ops.  Past
-63 facts a mask no longer fits a machine word; the historical fallback was an
-object-dtype array of Python ints, which keeps every consumer *correct* but
-turns each shift/AND into a per-row Python call — hundreds-of-facts corpora
-paid four orders of magnitude over the packed path.
-
-This module packs wide masks into ``(rows, ceil(num_facts / 64))`` arrays of
-``uint64`` words instead: bit ``j`` of word ``w`` of a row is bit
-``64 * w + j`` of the row's assignment mask (little-endian words, matching
-``int.from_bytes(..., "little")``).  Every hot-path consumer —
-:func:`repro.core.entropy.project_columns`, the engine's bit-column cache,
-Bayesian merging — extracts single-fact columns or small projections from
-the planes with the same vectorized shift/AND idiom the ``int64`` path uses,
-so 100–500-fact corpora stay on contiguous numeric arrays end to end.
+63 facts a mask no longer fits a machine word, so the support is packed into
+``(rows, ceil(num_facts / 64))`` arrays of ``uint64`` words: bit ``j`` of
+word ``w`` of a row is bit ``64 * w + j`` of the row's assignment mask
+(little-endian words, matching ``int.from_bytes(..., "little")``).  Every
+hot-path consumer extracts single-fact columns or small projections from the
+planes with the same vectorized shift/AND idiom the ``int64`` path uses, so
+100–500-fact corpora stay on contiguous numeric arrays end to end.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -35,15 +29,14 @@ def plane_count(num_facts: int) -> int:
 def pack_masks(masks, num_facts: int) -> np.ndarray:
     """Pack integer assignment masks into ``(rows, plane_count)`` uint64 planes.
 
-    ``masks`` may be an ``int64`` array (63-fact fast path), an object-dtype
-    array of Python ints (the legacy wide representation), or any sequence of
-    non-negative ints.  Word ``w`` of a row holds mask bits
+    ``masks`` may be an ``int64`` array (63-fact fast path) or any iterable
+    of non-negative ints.  Word ``w`` of a row holds mask bits
     ``[64w, 64w + 63]``.
     """
     if num_facts < 1:
         raise ValueError(f"num_facts must be positive, got {num_facts}")
     words = plane_count(num_facts)
-    if isinstance(masks, np.ndarray) and masks.dtype != object:
+    if isinstance(masks, np.ndarray) and masks.dtype.kind in "iu":
         rows = masks.shape[0]
         planes = np.zeros((rows, words), dtype=np.uint64)
         # int64 masks are non-negative by construction (<= 63 usable bits),
@@ -62,22 +55,20 @@ def pack_masks(masks, num_facts: int) -> np.ndarray:
     return planes
 
 
-def unpack_planes(planes: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_masks`: planes back to an object array of ints.
+def unpack_planes(planes: np.ndarray) -> List[int]:
+    """Inverse of :func:`pack_masks`: planes back to a list of Python ints.
 
-    Row order is preserved; the result carries arbitrary-precision Python
-    ints, so it round-trips any fact width.
+    Row order is preserved; the ints are arbitrary-precision, so the result
+    round-trips any fact width.
     """
     contiguous = np.ascontiguousarray(planes, dtype=np.uint64)
     rows, words = contiguous.shape
     row_bytes = contiguous.tobytes()
     stride = words * 8
-    masks = np.empty(rows, dtype=object)
-    for index in range(rows):
-        masks[index] = int.from_bytes(
-            row_bytes[index * stride : (index + 1) * stride], "little"
-        )
-    return masks
+    return [
+        int.from_bytes(row_bytes[start : start + stride], "little")
+        for start in range(0, rows * stride, stride)
+    ]
 
 
 def plane_bit_column(planes: np.ndarray, position: int) -> np.ndarray:

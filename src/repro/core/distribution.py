@@ -11,18 +11,19 @@ marginalisation and Bayesian updates linear in the support size — the same
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.assignment import Assignment, mask_from_bools, project_mask
 from repro.core.bitplanes import pack_masks, unpack_planes
-from repro.core.entropy import entropy_bits, project_columns
+from repro.core.entropy import bit_column, entropy_bits, project_columns
 from repro.exceptions import InvalidDistributionError, InvalidFactError
 
 #: Supports at least this large use the contiguous-array fast path for
 #: entropy, marginals and marginalisation; smaller ones stay on the dict path
-#: (array construction would dominate).
+#: (array construction would dominate).  The size alone decides, not whether
+#: the arrays are cached, so reading a distribution never changes its floats.
 _VECTOR_MIN_SUPPORT = 32
 
 
@@ -37,6 +38,11 @@ def entropy_of(probabilities: Iterable[float]) -> float:
         if p > 0.0:
             total -= p * math.log2(p)
     return total
+
+
+def _mask_keys(masks: np.ndarray) -> List[int]:
+    """Either :meth:`JointDistribution.support_arrays` mask layout as ints."""
+    return unpack_planes(masks) if masks.ndim == 2 else masks.tolist()
 
 
 class JointDistribution:
@@ -54,7 +60,7 @@ class JointDistribution:
         When true (the default), the masses are rescaled to sum to one.
     """
 
-    __slots__ = ("_fact_ids", "_positions", "_probs", "_arrays", "_planes")
+    __slots__ = ("_fact_ids", "_positions", "_probs", "_arrays")
 
     def __init__(
         self,
@@ -102,7 +108,6 @@ class JointDistribution:
                 )
             self._probs = dict(cleaned)
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._planes: Optional[np.ndarray] = None
 
     # -- constructors -------------------------------------------------------------
 
@@ -237,67 +242,27 @@ class JointDistribution:
     def support_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return the support as aligned ``(masks, probabilities)`` NumPy arrays.
 
-        The arrays are built once and cached (the distribution is immutable);
-        they are marked read-only because callers share the cache.  Masks of
-        distributions past 63 facts do not fit ``int64`` and are stored as an
-        object array of Python ints — slower, but every bit-wise consumer
-        keeps working (projections onto task sets stay small and are always
-        re-packed into ``int64``).
+        Masks are one ``int64`` column up to 63 facts and packed uint64 bit
+        planes (:mod:`repro.core.bitplanes`) beyond; read either layout with
+        :func:`~repro.core.entropy.bit_column` or
+        :func:`~repro.core.entropy.project_columns`.  The arrays are built
+        once and cached (the distribution is immutable); they are marked
+        read-only because callers share the cache.
         """
         if self._arrays is None:
             count = len(self._probs)
-            mask_dtype = np.int64 if self.num_facts <= 63 else object
-            masks = np.fromiter(self._probs.keys(), dtype=mask_dtype, count=count)
+            if self.num_facts <= 63:
+                masks = np.fromiter(self._probs.keys(), dtype=np.int64, count=count)
+            else:
+                masks = pack_masks(self._probs.keys(), self.num_facts)
             probs = np.fromiter(self._probs.values(), dtype=np.float64, count=count)
             masks.setflags(write=False)
             probs.setflags(write=False)
             self._arrays = (masks, probs)
         return self._arrays
 
-    def support_planes(self) -> np.ndarray:
-        """Return the support as packed ``(rows, ceil(n/64))`` uint64 bit planes.
-
-        Row ``i`` packs the same assignment as ``support_arrays()[0][i]``
-        (same alignment contract), with bit ``j`` of word ``w`` holding fact
-        bit ``64w + j`` — the wide-fact representation every engine kernel
-        stays vectorized on (see :mod:`repro.core.bitplanes`).  Built once
-        and cached read-only; distributions constructed through
-        :meth:`from_packed_arrays` carry their planes from birth.
-        """
-        if self._planes is None:
-            if self._arrays is not None or self.num_facts <= 63:
-                source = self.support_arrays()[0]
-            else:
-                # Pack straight from the dict keys: building the legacy
-                # object-dtype mask array first would materialise the very
-                # representation the planes exist to avoid.
-                source = self._probs.keys()
-            planes = pack_masks(source, self.num_facts)
-            planes.setflags(write=False)
-            self._planes = planes
-        return self._planes
-
-    def support_probabilities(self) -> np.ndarray:
-        """The probability column of :meth:`support_arrays`, masks not required.
-
-        Wide-fact consumers (the packed-plane engine path) call this instead
-        of :meth:`support_arrays` so a 64+-fact hot path never materialises
-        the object-dtype mask column at all.  Dict iteration order is stable,
-        so the result is aligned with :meth:`support_planes` rows and with a
-        later :meth:`support_arrays` call.
-        """
-        if self._arrays is not None:
-            return self._arrays[1]
-        if self.num_facts <= 63:
-            return self.support_arrays()[1]
-        probs = np.fromiter(
-            self._probs.values(), dtype=np.float64, count=len(self._probs)
-        )
-        probs.setflags(write=False)
-        return probs
-
     def _use_arrays(self) -> bool:
-        return self._arrays is not None or len(self._probs) >= _VECTOR_MIN_SUPPORT
+        return len(self._probs) >= _VECTOR_MIN_SUPPORT
 
     # -- information-theoretic quantities ------------------------------------------
 
@@ -312,7 +277,7 @@ class JointDistribution:
         position = self.position(fact_id)
         if self._use_arrays():
             masks, probs = self.support_arrays()
-            return float(probs[(masks >> position & 1).astype(bool)].sum())
+            return float(probs[bit_column(masks, position).astype(bool)].sum())
         return sum(p for mask, p in self._probs.items() if mask >> position & 1)
 
     def marginals(self) -> Dict[str, float]:
@@ -320,7 +285,7 @@ class JointDistribution:
         if self._use_arrays():
             masks, probs = self.support_arrays()
             return {
-                fact_id: float(probs[(masks >> position & 1).astype(bool)].sum())
+                fact_id: float(probs[bit_column(masks, position).astype(bool)].sum())
                 for position, fact_id in enumerate(self._fact_ids)
             }
         totals = [0.0] * self.num_facts
@@ -361,12 +326,12 @@ class JointDistribution:
             masks, probs = self.support_arrays()
             keep = np.ones(masks.shape[0], dtype=bool)
             for position, value in checks:
-                keep &= (masks >> position & 1).astype(bool) == value
+                keep &= bit_column(masks, position).astype(bool) == value
             if not keep.any():
                 raise InvalidDistributionError(
                     "conditioning evidence has zero probability under this distribution"
                 )
-            probs_map = dict(zip(masks[keep].tolist(), probs[keep].tolist()))
+            probs_map = dict(zip(_mask_keys(masks[keep]), probs[keep].tolist()))
             return JointDistribution(self._fact_ids, probs_map, normalise=True)
         probs_map = {}
         for mask, probability in self._probs.items():
@@ -414,13 +379,18 @@ class JointDistribution:
     ) -> "JointDistribution":
         """Build a distribution from aligned arrays of unique masks and masses.
 
-        The trusted-input constructor behind :meth:`reweight_array` and the
-        refinement sessions' posterior materialisation: it skips the per-item
-        Python validation loop of ``__init__`` — callers must guarantee the
-        masks are unique and in range — but keeps the zero-mass filtering and
-        normalisation semantics (masses may be unnormalised; rows with exactly
-        zero mass are dropped).
+        The trusted-input constructor behind :meth:`reweight_array`, the
+        refinement sessions' posterior materialisation and the scale-corpus
+        generator: it skips the per-item Python validation loop of
+        ``__init__`` — callers must guarantee the masks are unique and in
+        range — but keeps the zero-mass filtering and normalisation semantics
+        (masses may be unnormalised; rows with exactly zero mass are
+        dropped).  ``masks`` may be in either :meth:`support_arrays` layout;
+        the filtered arrays, in the layout of the fact width, become the
+        cached :meth:`support_arrays`.
         """
+        fact_ids = tuple(fact_ids)
+        masses = np.asarray(masses, dtype=np.float64)
         keep = masses > 0.0
         if not keep.any():
             raise InvalidDistributionError("distribution has no probability mass")
@@ -428,50 +398,22 @@ class JointDistribution:
             masks = masks[keep]
             masses = masses[keep]
         masses = masses / masses.sum()
+        if len(fact_ids) > 63 and masks.ndim == 1:
+            masks = pack_masks(masks, len(fact_ids))
+        elif len(fact_ids) <= 63 and masks.ndim == 2:
+            masks = masks[:, 0]
+        dtype = np.uint64 if masks.ndim == 2 else np.int64
+        # A read-only view, so the caller's own array keeps its flags.
+        masks = np.ascontiguousarray(masks, dtype=dtype).view()
+        masks.setflags(write=False)
+        masses.setflags(write=False)
         instance = cls.__new__(cls)
-        instance._fact_ids = tuple(fact_ids)
+        instance._fact_ids = fact_ids
         instance._positions = {
-            fact_id: position for position, fact_id in enumerate(instance._fact_ids)
+            fact_id: position for position, fact_id in enumerate(fact_ids)
         }
-        instance._probs = dict(zip(masks.tolist(), masses.tolist()))
-        instance._arrays = None
-        instance._planes = None
-        return instance
-
-    @classmethod
-    def from_packed_arrays(
-        cls, fact_ids: Sequence[str], planes: np.ndarray, masses: np.ndarray
-    ) -> "JointDistribution":
-        """Build a distribution from packed uint64 bit planes and masses.
-
-        The wide-fact counterpart of :meth:`from_support_arrays`: ``planes``
-        rows (see :mod:`repro.core.bitplanes`) must be unique assignments;
-        masses may be unnormalised, and exactly-zero rows are dropped.  The
-        planes are adopted as the cached :meth:`support_planes` value, so
-        generators (``datasets.scale``) hand the engine its vectorized
-        representation without ever round-tripping through Python ints on
-        the hot path.
-        """
-        masses = np.asarray(masses, dtype=np.float64)
-        keep = masses > 0.0
-        if not keep.any():
-            raise InvalidDistributionError("distribution has no probability mass")
-        if not keep.all():
-            planes = planes[keep]
-            masses = masses[keep]
-        masses = masses / masses.sum()
-        planes = np.ascontiguousarray(planes, dtype=np.uint64)
-        planes.setflags(write=False)
-        instance = cls.__new__(cls)
-        instance._fact_ids = tuple(fact_ids)
-        instance._positions = {
-            fact_id: position for position, fact_id in enumerate(instance._fact_ids)
-        }
-        instance._probs = dict(
-            zip(unpack_planes(planes).tolist(), masses.tolist())
-        )
-        instance._arrays = None
-        instance._planes = planes
+        instance._probs = dict(zip(_mask_keys(masks), masses.tolist()))
+        instance._arrays = (masks, masses)
         return instance
 
     # -- decisions -----------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitplanes import pack_masks, plane_bit_column, project_planes
+from repro.core.bitplanes import plane_bit_column, project_planes
 
 #: 16-bit popcount lookup table; :func:`popcount_array` indexes it four times
 #: (shifts of 0/16/32/48) to cover the full int64 range — support masks carry
@@ -66,19 +66,14 @@ def project_columns(masks: np.ndarray, positions: "tuple[int, ...]") -> np.ndarr
     """Vectorised :func:`repro.core.assignment.project_mask` over a mask array.
 
     Bit ``i`` of each result is bit ``positions[i]`` of the corresponding
-    mask.  ``masks`` may be an ``int64`` column (<= 63 facts), a packed
-    ``(rows, words)`` uint64 bit-plane array (the wide-fact fast path, see
-    :mod:`repro.core.bitplanes`), or a legacy object-dtype array of Python
-    ints — the object path is routed through a one-shot packing so the
-    projection itself always runs vectorized.  The projection fits ``int64``
+    mask.  ``masks`` is either layout of
+    :meth:`~repro.core.distribution.JointDistribution.support_arrays`: an
+    ``int64`` column (<= 63 facts) or packed ``(rows, words)`` uint64 bit
+    planes (see :mod:`repro.core.bitplanes`).  The projection fits ``int64``
     (task sets are <= 24 bits) and is returned as such.
     """
     if masks.ndim == 2:
         return project_planes(masks, positions)
-    if masks.dtype == object:
-        if not positions:
-            return np.zeros(masks.shape[0], dtype=np.int64)
-        return project_planes(pack_masks(masks, max(positions) + 1), positions)
     projected = np.zeros(masks.shape[0], dtype=np.int64)
     for index, position in enumerate(positions):
         projected |= ((masks >> position) & 1) << index
@@ -89,8 +84,8 @@ def bit_column(masks: np.ndarray, position: int) -> np.ndarray:
     """0/1 ``int8`` truth column of bit ``position`` over any mask layout.
 
     The single dispatch point the bit-column consumers (the engine's cached
-    columns, Bayesian merging) share: ``int64`` columns and object-dtype
-    arrays use the shift/AND idiom, packed uint64 planes extract from the
+    columns, Bayesian merging, distribution marginals) share: an ``int64``
+    column uses the shift/AND idiom, packed uint64 planes extract from the
     word holding the bit.
     """
     if masks.ndim == 2:

@@ -37,13 +37,7 @@ def answer_likelihood_array(
     judgments = answers.judgments()
     if not judgments:
         raise SelectionError("cannot merge an empty answer set")
-    if distribution.num_facts > 63:
-        # Wide-fact supports merge on the packed uint64 bit planes so the
-        # per-round Bayesian update stays vectorized (the object-dtype mask
-        # column is never materialised on this path).
-        masks = distribution.support_planes()
-    else:
-        masks, _ = distribution.support_arrays()
+    masks, _ = distribution.support_arrays()
 
     uniform = crowd.uniform_accuracy
     if uniform is not None:
@@ -77,9 +71,8 @@ def answer_likelihoods(
     The returned mapping is keyed by assignment bitmask and can be fed to
     :meth:`JointDistribution.reweight`.
     """
-    masks, _ = distribution.support_arrays()
     values = answer_likelihood_array(distribution, answers, crowd)
-    return dict(zip(masks.tolist(), values.tolist()))
+    return dict(zip(distribution.support(), values.tolist()))
 
 
 def answer_probability(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
@@ -188,25 +188,3 @@ class TaskSelector(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def best_single_task(
-    distribution: JointDistribution,
-    crowd: ChannelModel,
-    candidates: Sequence[str],
-    selected: Sequence[str],
-) -> Optional[Tuple[str, float]]:
-    """Return the candidate maximising ``H(T ∪ {f})`` and that entropy.
-
-    Shared helper for greedy-style selectors; returns ``None`` when
-    ``candidates`` is empty.
-    """
-    best_id: Optional[str] = None
-    best_entropy = float("-inf")
-    for fact_id in candidates:
-        entropy = crowd.task_entropy(distribution, list(selected) + [fact_id])
-        if entropy > best_entropy + TIE_TOLERANCE:
-            best_entropy = entropy
-            best_id = fact_id
-    if best_id is None:
-        return None
-    return best_id, best_entropy

@@ -214,13 +214,6 @@ class EntropyEngine:
         Optional facts of interest.  When given, states additionally track
         ``H(I, T)`` so query-based utilities ``Q(I|T) = H(T) − H(I, T)`` come
         from the same cached table.
-    packed:
-        Support-mask layout override.  ``None`` (the default) keeps the
-        ``int64`` column up to 63 facts and switches to packed uint64 bit
-        planes (:mod:`repro.core.bitplanes`) beyond; ``True``/``False``
-        force the packed/legacy layout — ``False`` on a wide distribution
-        reinstates the historical object-dtype path (benchmarked as the
-        ``wide_facts/*`` baseline, not meant for production use).
     """
 
     #: Whether this engine is an :meth:`interest_view` snapshot (views share
@@ -232,23 +225,11 @@ class EntropyEngine:
         distribution: JointDistribution,
         crowd: ChannelModel,
         interest_ids: Optional[Sequence[str]] = None,
-        packed: Optional[bool] = None,
     ):
         self._distribution = distribution
         self._crowd = crowd
         self._uniform = crowd.uniform_accuracy
-        if packed is None:
-            packed = distribution.num_facts > 63
-        if packed:
-            # The packed layout never materialises the object-dtype mask
-            # column: planes and the probability vector come straight from
-            # the distribution's dict storage.
-            self._masks = distribution.support_planes()
-            self._probabilities = distribution.support_probabilities()
-        else:
-            masks, probabilities = distribution.support_arrays()
-            self._masks = masks
-            self._probabilities = probabilities
+        self._masks, self._probabilities = distribution.support_arrays()
         self._cell_index, self._num_cells = self._build_interest_cells(interest_ids)
         self._bits: Dict[str, np.ndarray] = {}
         self._weighted_bits: Dict[str, np.ndarray] = {}
@@ -325,8 +306,8 @@ class EntropyEngine:
         column = self._bits.get(fact_id)
         if column is None:
             position = self._distribution.position(fact_id)
-            # bit_column dispatches on the mask layout: int64 column, packed
-            # uint64 planes, or (legacy) object-dtype Python ints.
+            # bit_column reads either mask layout: int64 column or packed
+            # uint64 planes.
             column = bit_column(self._masks, position)
             self._bits[fact_id] = column
         return column

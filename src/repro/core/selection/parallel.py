@@ -163,9 +163,11 @@ class WorkerCrashError(SelectionError):
 
     Covers a worker process found dead mid-dispatch (sentinel exitcode), a
     dispatch exceeding its configured timeout (hung/blackholed worker), and a
-    :class:`WorkerSyncError` surfacing through the result queue.  Internal to
-    the supervisor: callers never see it — the pool is rebuilt and the
-    dispatch retried, or the circuit breaker degrades the scan to serial.
+    :class:`WorkerSyncError` surfacing through the result queue.  Callers of
+    a candidate scan never see it — the pool is rebuilt and the dispatch
+    retried, or the circuit breaker degrades the scan to serial.  The
+    experiment runner's entity fan-out has no serial fallback and raises it
+    to its caller.
     """
 
 
@@ -496,7 +498,9 @@ def _score_chunk(
     return engine.scan(state, chunk).entropies
 
 
-def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
+def _supervised_map(
+    pool, procs, worker, chunks, policy: ParallelPolicy, chunksize=None
+):
     """One crash-aware ``pool.map``: dispatch, watch the workers, collect.
 
     ``procs`` is the snapshot of worker processes taken immediately after the
@@ -506,7 +510,8 @@ def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
     snapshot.  Raises :class:`WorkerCrashError` when a snapshot worker has
     died, the dispatch exceeds ``policy.dispatch_timeout``, or a worker
     reported :class:`WorkerSyncError`; any other worker exception (an
-    application-level scoring error) propagates unchanged.
+    application-level scoring error) propagates unchanged.  ``chunksize``
+    goes to ``map_async`` (``None`` keeps its default batching).
     """
     for proc in procs:
         if proc.exitcode is not None:
@@ -514,7 +519,7 @@ def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
                 f"pool worker {proc.pid} died with exit code {proc.exitcode} "
                 "before dispatch"
             )
-    result = pool.map_async(worker, chunks)
+    result = pool.map_async(worker, chunks, chunksize)
     timeout = policy.dispatch_timeout
     deadline = None if timeout is None else time.monotonic() + timeout
     while not result.ready():

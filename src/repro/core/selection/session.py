@@ -282,20 +282,11 @@ class RefinementSession:
         from the materialised object (matching :func:`merge_answers`), while
         the session itself keeps them for row alignment."""
         if self._materialized is None:
-            if self._engine.support_masks.ndim == 2:
-                # Wide-fact engines hold packed uint64 bit planes; the packed
-                # constructor keeps the same drop-zero/renormalise semantics.
-                self._materialized = JointDistribution.from_packed_arrays(
-                    self._initial.fact_ids,
-                    self._engine.support_masks,
-                    self._engine.probabilities,
-                )
-            else:
-                self._materialized = JointDistribution.from_support_arrays(
-                    self._initial.fact_ids,
-                    self._engine.support_masks,
-                    self._engine.probabilities,
-                )
+            self._materialized = JointDistribution.from_support_arrays(
+                self._initial.fact_ids,
+                self._engine.support_masks,
+                self._engine.probabilities,
+            )
         return self._materialized
 
     def entropy(self) -> float:

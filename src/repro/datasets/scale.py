@@ -10,10 +10,11 @@ the test suite.
 
 Up to 63 facts the support masks pack into an ``int64`` column; wider fact
 sets are generated directly as packed ``(rows, ceil(n/64))`` uint64 bit
-planes (:mod:`repro.core.bitplanes`) and handed to the engine through
-:meth:`~repro.core.distribution.JointDistribution.from_packed_arrays`, so
-hundreds-of-facts corpora stay on vectorized numeric arrays end to end —
-both during generation and on the selection hot path.
+planes (:mod:`repro.core.bitplanes`), which
+:meth:`~repro.core.distribution.JointDistribution.from_support_arrays`
+adopts as the distribution's support arrays, so hundreds-of-facts corpora
+stay on vectorized numeric arrays end to end — both during generation and on
+the selection hot path.
 """
 
 from __future__ import annotations
@@ -100,12 +101,9 @@ def generate_scale_distribution(
             masks = rng.permutation(masks)[: config.support_size]
     else:
         # Wide fact sets: draw packed uint64 bit planes directly (one row of
-        # words per assignment), de-duplicate row-wise like the sparse
-        # regime, and build through the packed trusted constructor — the
-        # object-dtype Python-int representation never exists.
-        fact_ids = tuple(f"f{i}" for i in range(config.num_facts))
-        planes = _unique_planes(rng, config)
-        return JointDistribution.from_packed_arrays(fact_ids, planes, masses)
+        # words per assignment) and de-duplicate row-wise like the sparse
+        # regime.
+        masks = _unique_planes(rng, config)
     fact_ids = tuple(f"f{i}" for i in range(config.num_facts))
     return JointDistribution.from_support_arrays(fact_ids, masks, masses)
 

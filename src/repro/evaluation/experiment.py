@@ -49,7 +49,12 @@ from repro.core.engine import refinement_rounds
 from repro.core.facts import FactSet
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import TaskSelector, get_selector
-from repro.core.selection.parallel import ParallelPolicy, ParallelSelectorMixin
+from repro.core.selection.parallel import (
+    ParallelPolicy,
+    ParallelSelectorMixin,
+    _supervised_map,
+    _teardown_pool,
+)
 from repro.core.selection.session import RefinementSession
 from repro.correlation.builder import JointDistributionBuilder
 from repro.correlation.rules import CorrelationRule
@@ -60,6 +65,7 @@ from repro.evaluation.metrics import classification_scores
 from repro.exceptions import CrowdFusionError, DatasetError
 from repro.fusion.claims import ClaimDatabase
 from repro.fusion.pipeline import FusionMethod, claims_to_facts, fusion_prior
+from repro.testing import faults
 
 #: The crowd-model fidelities :func:`run_quality_experiment` understands.
 CROWD_MODEL_KINDS = ("uniform", "difficulty", "calibrated")
@@ -565,9 +571,11 @@ def _entity_trajectory(index: int) -> EntityTrajectory:
     """Fan-out worker: run entity ``index``'s complete refinement trajectory.
 
     A thin shim over :func:`run_entity_trajectory` reading the work tuple
-    from the fork-inherited module global.
+    from the fork-inherited module global.  Like orchestrator shards and
+    cluster workers, it fires the ``shard_entity`` fault point first.
     """
     problems, config, budget_overrides = _FANOUT_CONTEXT
+    faults.fire("shard_entity", index=index)
     return run_entity_trajectory(problems[index], index, config, budget_overrides)
 
 
@@ -579,16 +587,28 @@ def _fan_out(
     """Every entity's trajectory, computed across a fork pool.
 
     Workers inherit the problem list through the fork (nothing is shipped
-    out) and send back only the trajectories, in entity order.
+    out) and send back only the trajectories, in entity order.  The map is
+    supervised like the scan pool's, so a worker that dies mid-sweep raises
+    :class:`~repro.core.selection.parallel.WorkerCrashError` instead of
+    hanging the call.
     """
     global _FANOUT_CONTEXT
     context = multiprocessing.get_context("fork")
     processes = min(config.runtime_options.parallel_entities, len(problems))
     _FANOUT_CONTEXT = (problems, config, budget_overrides)
     try:
-        with context.Pool(processes=processes) as worker_pool:
-            return worker_pool.map(
-                _entity_trajectory, range(len(problems)), chunksize=1
+        worker_pool = context.Pool(processes=processes)
+        procs = tuple(worker_pool._pool)  # the fork-time worker snapshot
+        try:
+            return _supervised_map(
+                worker_pool,
+                procs,
+                _entity_trajectory,
+                range(len(problems)),
+                ParallelPolicy(),
+                chunksize=1,
             )
+        finally:
+            _teardown_pool(worker_pool, procs)
     finally:
         _FANOUT_CONTEXT = None

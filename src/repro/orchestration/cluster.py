@@ -83,6 +83,7 @@ from repro.orchestration.orchestrator import (
     check_serial_runtime,
     entity_done_record,
 )
+from repro.orchestration.worker import trajectory_from_payload
 from repro.service.api import MAX_LINE_BYTES
 
 #: Atomic lease/epoch snapshot, sibling of the checkpoint.
@@ -258,6 +259,15 @@ class _LocalWorkerPool:
 def _safe_worker_name(worker: str) -> str:
     """Filesystem-safe journal suffix for a worker id."""
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in worker) or "worker"
+
+
+def _payload_error(payload: Any) -> Optional[str]:
+    """Why a result payload is no trajectory, or ``None`` when it decodes."""
+    try:
+        trajectory_from_payload(payload)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as error:
+        return f"malformed result payload: {type(error).__name__}: {error}"
+    return None
 
 
 def worker_journal_paths(run_dir: str) -> List[str]:
@@ -607,7 +617,12 @@ class _Coordinator:
         lease.pending.discard(result.index)
         lease.deadline = time.monotonic() + self.cluster.lease_ttl_s
         attempt = lease.attempt_of.get(result.index, 1)
+        error = result.error or "worker reported failure"
         if result.ok and result.payload is not None:
+            # The handshake pins the sweep, not the worker's code: a payload
+            # that does not decode must never reach a worker journal.
+            error = _payload_error(result.payload)
+        if error is None:
             record = entity_done_record(
                 self.problems, self.config, result.index, attempt, result.payload
             )
@@ -617,9 +632,7 @@ class _Coordinator:
             self.stats.results_accepted += 1
             self._checkpoint()
         else:
-            self._charge_failure(
-                result.index, attempt, result.error or "worker reported failure"
-            )
+            self._charge_failure(result.index, attempt, error)
         if not lease.pending:
             self.active.pop(lease.lease_id, None)
             if conn.lease == lease.lease_id:

@@ -122,11 +122,6 @@ def read_records(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-def iter_records(path: str) -> Iterator[Dict[str, Any]]:
-    """Iterate :func:`read_records` lazily (convenience for large journals)."""
-    yield from read_records(path)
-
-
 def merge_journals(paths: Sequence[str]) -> List[Dict[str, Any]]:
     """Merge per-worker journals into one deterministic record stream.
 

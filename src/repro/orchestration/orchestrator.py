@@ -118,10 +118,6 @@ class OrchestratorReport:
     resumed: int
     quarantined: Tuple[Tuple[str, str], ...] = ()
 
-    @property
-    def quarantined_entities(self) -> List[str]:
-        return [entity for entity, _ in self.quarantined]
-
 
 def _fingerprint(
     problems: Sequence[EntityProblem],

@@ -207,17 +207,29 @@ def encode_channel(channel: ChannelModel) -> Dict[str, Any]:
     )
 
 
+def _require_mapping(payload: Any, what: str) -> Mapping[str, Any]:
+    """``payload`` itself, refused with a validation error unless a JSON object."""
+    if not isinstance(payload, Mapping):
+        raise ValidationFailedError(
+            f"{what} must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
 def decode_channel(payload: Mapping[str, Any]) -> ChannelModel:
-    kind = payload.get("kind")
+    kind = _require_mapping(payload, "a channel payload").get("kind")
     try:
         if kind == "uniform":
             return CrowdModel(float(payload["accuracy"]))
         if kind == "per_fact":
+            overrides = _require_mapping(
+                payload.get("fact_accuracies", {}), "fact_accuracies"
+            )
             return PerFactChannelModel(
                 float(payload["default_accuracy"]),
                 {
                     str(fact_id): float(accuracy)
-                    for fact_id, accuracy in payload.get("fact_accuracies", {}).items()
+                    for fact_id, accuracy in overrides.items()
                 },
             )
     except (KeyError, TypeError, ValueError) as error:
@@ -232,7 +244,7 @@ def encode_answers(answers: AnswerSet) -> Dict[str, bool]:
 
 
 def decode_answers(payload: Mapping[str, Any]) -> AnswerSet:
-    if not payload:
+    if not _require_mapping(payload, "an answer payload"):
         raise ValidationFailedError("an answer payload cannot be empty")
     try:
         return AnswerSet.from_mapping(

@@ -132,7 +132,9 @@ async def _handle_connection(
                 response = {"ok": True, "result": await _dispatch(service, request)}
             except ServiceError as error:
                 response = {"ok": False, "error": error_payload(error)}
-            except (json.JSONDecodeError, UnicodeDecodeError, TypeError, ValueError) as error:
+            except (TypeError, ValueError, OverflowError) as error:
+                # ValueError covers JSONDecodeError and UnicodeDecodeError;
+                # OverflowError is a JSON number past the float range.
                 response = {
                     "ok": False,
                     "error": error_payload(

@@ -2,7 +2,9 @@
 
 A 128-fact corpus must run a full select/merge refinement loop with packed
 uint64 bit planes in every hot-path array — no object dtype anywhere — and
-agree with the legacy object-dtype engine path (``packed=False``).
+agree with two oracles: the object-dtype mask engine of the test tree
+(``object_mask_engine.py``) and the seed selector ``greedy_reference``,
+which works on Python ints at any width.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.core.selection import RefinementSession, get_selector
 from repro.core.selection.engine import EntropyEngine
 from repro.core.selection.greedy import run_greedy_on_engine
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
+from tests.core.selection.object_mask_engine import ObjectMaskEngine
 
 ACCURACY = 0.82
 WIDE_FACTS = 128
@@ -42,9 +45,9 @@ def scripted_answers(task_ids, round_index):
     )
 
 
-def wide_distribution(seed=21):
+def wide_distribution(seed=21, support_size=WIDE_SUPPORT):
     return generate_scale_distribution(
-        ScaleCorpusConfig(num_facts=WIDE_FACTS, support_size=WIDE_SUPPORT, seed=seed)
+        ScaleCorpusConfig(num_facts=WIDE_FACTS, support_size=support_size, seed=seed)
     )
 
 
@@ -59,23 +62,41 @@ def assert_no_object_arrays(engine):
 
 
 class TestWideFactPackedPath:
-    def test_engine_defaults_to_packed_past_63_facts(self):
+    def test_engine_holds_planes_past_63_facts(self):
         distribution = wide_distribution()
         engine = EntropyEngine(distribution, CrowdModel(ACCURACY))
         assert_no_object_arrays(engine)
-        legacy = EntropyEngine(distribution, CrowdModel(ACCURACY), packed=False)
-        assert legacy.support_masks.dtype == object
+        assert engine.support_masks is distribution.support_arrays()[0]
+        oracle = ObjectMaskEngine(distribution, CrowdModel(ACCURACY))
+        assert oracle.support_masks.dtype == object
+        assert oracle.support_masks.tolist() == list(distribution.support())
 
-    def test_packed_selection_matches_object_path(self):
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    def test_packed_selection_matches_object_mask_oracle(self, heterogeneous):
         distribution = wide_distribution()
-        crowd = CrowdModel(ACCURACY)
+        crowd = (
+            heterogeneous_channel(WIDE_FACTS, 25)
+            if heterogeneous
+            else CrowdModel(ACCURACY)
+        )
         packed = EntropyEngine(distribution, crowd)
-        legacy = EntropyEngine(distribution, crowd, packed=False)
+        oracle = ObjectMaskEngine(distribution, crowd)
         candidates = distribution.fact_ids
         packed_result = run_greedy_on_engine(packed, 4, candidates)
-        legacy_result = run_greedy_on_engine(legacy, 4, candidates)
-        assert packed_result.task_ids == legacy_result.task_ids
-        assert abs(packed_result.objective - legacy_result.objective) <= 1e-9
+        oracle_result = run_greedy_on_engine(oracle, 4, candidates)
+        assert packed_result.task_ids == oracle_result.task_ids
+        assert abs(packed_result.objective - oracle_result.objective) <= 1e-9
+
+    def test_packed_selection_matches_greedy_reference(self):
+        # The seed selector scores every candidate task set from the
+        # distribution's Python-int masks, whatever their width.
+        distribution = wide_distribution(seed=24, support_size=512)
+        crowd = CrowdModel(ACCURACY)
+        packed = get_selector("greedy").select(distribution, crowd, 3)
+        reference = get_selector("greedy_reference").select(distribution, crowd, 3)
+        assert len(packed.task_ids) == 3
+        assert packed.task_ids == reference.task_ids
+        assert abs(packed.objective - reference.objective) <= 1e-9
 
     def test_full_refinement_loop_stays_packed(self):
         distribution = wide_distribution()
@@ -88,10 +109,11 @@ class TestWideFactPackedPath:
             assert_no_object_arrays(session.engine)
             session.merge(scripted_answers(result.task_ids, round_index))
         posterior = session.distribution
-        # The posterior is rebuilt through the packed trusted constructor —
-        # the object-dtype mask column is never materialised on this path.
-        assert posterior._planes is not None
-        assert posterior._arrays is None
+        # The posterior adopts the engine's planes as its support arrays, so
+        # no Python-int mask column is built on this path.
+        masks, probabilities = posterior._arrays
+        assert masks.dtype == np.uint64 and masks.shape == (WIDE_SUPPORT, 2)
+        assert probabilities.dtype == np.float64
         assert posterior.num_facts == WIDE_FACTS
         assert sum(probability for _, probability in posterior.items()) == (
             pytest.approx(1.0)
@@ -104,15 +126,16 @@ class TestWideFactPackedPath:
         answers = scripted_answers(task_ids, 0)
         likelihoods = answer_likelihood_array(distribution, answers, crowd)
 
-        masks = unpack_planes(distribution.support_planes())
-        probabilities = distribution.support_probabilities()
+        planes, probabilities = distribution.support_arrays()
+        masks = unpack_planes(planes)
+        assert masks == list(distribution.support())
         judgments = answers.judgments()
-        expected = np.ones(masks.shape[0], dtype=np.float64)
+        expected = np.ones(len(masks), dtype=np.float64)
         for fact_id, judgment in judgments.items():
             position = distribution.position(fact_id)
             accuracy = crowd.accuracy_for(fact_id)
             for row, mask in enumerate(masks):
-                agrees = bool((int(mask) >> position) & 1) == judgment
+                agrees = bool((mask >> position) & 1) == judgment
                 expected[row] *= accuracy if agrees else 1.0 - accuracy
         np.testing.assert_allclose(likelihoods, expected, atol=1e-12)
 

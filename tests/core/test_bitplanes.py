@@ -1,11 +1,11 @@
-"""Packed uint64 bit planes: round-trips and equivalence with the object path.
+"""Packed uint64 bit planes: round-trips and equivalence with Python ints.
 
-The packed representation replaces the object-dtype (Python-int) mask column
-for wide fact sets, so these tests pin two things: the pack/unpack round-trip
-is lossless for arbitrary widths, and every consumer primitive
-(``project_columns``, ``bit_column``) produces bit-identical results on the
-packed planes and on the legacy object array.  The object-path behaviour
-itself is pinned first — it is the reference the planes must match.
+The packed representation holds the masks of wide fact sets, so these tests
+pin two things: the pack/unpack round-trip is lossless for arbitrary widths,
+and every consumer primitive (``project_columns``, ``bit_column``) produces
+bit-identical results on the packed planes and on the Python-int masks they
+pack.  The Python-int semantics (:func:`repro.core.assignment.project_mask`)
+are pinned first — they are the reference the planes must match.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.assignment import project_mask
 from repro.core.bitplanes import (
     pack_masks,
     plane_bit_column,
@@ -51,13 +52,6 @@ def any_width_mask_sets(draw):
     return num_facts, rows
 
 
-def object_array(rows):
-    out = np.empty(len(rows), dtype=object)
-    for index, value in enumerate(rows):
-        out[index] = value
-    return out
-
-
 class TestPlaneCount:
     def test_word_boundaries(self):
         assert plane_count(1) == 1
@@ -73,29 +67,30 @@ class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     def test_pack_unpack_round_trip(self, case):
         num_facts, rows = case
-        planes = pack_masks(object_array(rows), num_facts)
+        planes = pack_masks(rows, num_facts)
         assert planes.dtype == np.uint64
         assert planes.shape == (len(rows), plane_count(num_facts))
-        assert unpack_planes(planes).tolist() == rows
+        assert unpack_planes(planes) == rows
 
     def test_pack_accepts_plain_iterables(self):
         rows = [0, (1 << 100) - 1, 1 << 77]
         planes = pack_masks(rows, 101)
-        assert unpack_planes(planes).tolist() == rows
+        assert unpack_planes(planes) == rows
+        assert pack_masks(iter(rows), 101).tolist() == planes.tolist()
 
     def test_pack_narrow_int64_column(self):
         masks = np.array([0, 5, (1 << 62) - 1], dtype=np.int64)
         planes = pack_masks(masks, 63)
         assert planes.shape == (3, 1)
-        assert unpack_planes(planes).tolist() == masks.tolist()
+        assert unpack_planes(planes) == masks.tolist()
 
 
-class TestObjectPathRegression:
-    """Pin the legacy object-dtype semantics the planes must reproduce."""
+class TestPythonIntReference:
+    """Pin the Python-int semantics the planes must reproduce."""
 
-    def test_project_columns_object_semantics(self):
+    def test_project_mask_wide_semantics(self):
         # Hand-computed reference: project facts (2, 65, 100) of each mask
-        # into bits (0, 1, 2) of an int64 output.
+        # into bits (0, 1, 2).
         rows = [
             (1 << 2) | (1 << 65),
             (1 << 100),
@@ -103,47 +98,44 @@ class TestObjectPathRegression:
             0,
         ]
         expected = [0b011, 0b100, 0b111, 0b000]
-        projected = project_columns(object_array(rows), (2, 65, 100))
+        assert [project_mask(mask, (2, 65, 100)) for mask in rows] == expected
+        projected = project_columns(pack_masks(rows, 101), (2, 65, 100))
         assert projected.dtype == np.int64
         assert projected.tolist() == expected
 
     @given(wide_mask_sets())
     @settings(max_examples=100, deadline=None)
-    def test_object_path_matches_per_element_python(self, case):
+    def test_project_mask_matches_per_element_python(self, case):
         num_facts, rows = case
         positions = tuple(
             sorted({0, num_facts - 1, num_facts // 2, num_facts // 3})
         )
-        projected = project_columns(object_array(rows), positions)
         reference = [
             sum(((mask >> position) & 1) << index
                 for index, position in enumerate(positions))
             for mask in rows
         ]
-        assert projected.dtype == np.int64
-        assert projected.tolist() == reference
+        assert [project_mask(mask, positions) for mask in rows] == reference
 
 
 class TestPackedEquivalence:
     @given(wide_mask_sets())
     @settings(max_examples=100, deadline=None)
-    def test_project_columns_packed_matches_object(self, case):
+    def test_project_columns_packed_matches_project_mask(self, case):
         num_facts, rows = case
-        masks = object_array(rows)
-        planes = pack_masks(masks, num_facts)
+        planes = pack_masks(rows, num_facts)
         positions = tuple(
             sorted({0, 1, num_facts - 1, num_facts // 2, 63 % num_facts})
         )
-        via_object = project_columns(masks, positions)
         via_planes = project_columns(planes, positions)
         assert via_planes.dtype == np.int64
-        assert via_planes.tolist() == via_object.tolist()
+        assert via_planes.tolist() == [project_mask(mask, positions) for mask in rows]
 
     @given(wide_mask_sets())
     @settings(max_examples=100, deadline=None)
-    def test_bit_column_packed_matches_object(self, case):
+    def test_bit_column_packed_matches_python_ints(self, case):
         num_facts, rows = case
-        planes = pack_masks(object_array(rows), num_facts)
+        planes = pack_masks(rows, num_facts)
         for position in sorted({0, 63 % num_facts, num_facts - 1}):
             expected = [(mask >> position) & 1 for mask in rows]
             column = plane_bit_column(planes, position)

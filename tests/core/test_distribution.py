@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.answers import AnswerSet
+from repro.core.crowd import CrowdModel
 from repro.core.distribution import JointDistribution, entropy_of
+from repro.core.selection import RefinementSession
 from repro.exceptions import InvalidDistributionError, InvalidFactError
 
 
@@ -221,9 +225,42 @@ class TestUtilityMethods:
         assert dist.support_size == 4
 
 
+class TestArrayPathChoice:
+    """A small distribution stays on its dict loops even once its support
+    arrays are cached, so reading it never changes its floats."""
+
+    @staticmethod
+    def small_priors(count=40, seed=7):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            num_facts = int(rng.integers(2, 5))
+            fact_ids = tuple(f"f{i}" for i in range(num_facts))
+            masses = rng.uniform(0.01, 1.0, size=1 << num_facts)
+            yield JointDistribution(fact_ids, dict(enumerate(masses.tolist())))
+
+    def test_session_leaves_small_prior_floats_unchanged(self):
+        for prior in self.small_priors():
+            entropy, marginals = prior.entropy(), prior.marginals()
+            RefinementSession(prior, CrowdModel(0.8)).close()
+            assert prior.entropy() == entropy
+            assert prior.marginals() == marginals
+
+    def test_small_posterior_reads_like_its_dict(self):
+        for prior in self.small_priors(count=10, seed=8):
+            session = RefinementSession(prior, CrowdModel(0.8))
+            session.merge(AnswerSet.from_mapping({prior.fact_ids[0]: True}))
+            posterior = session.distribution
+            rebuilt = JointDistribution(
+                prior.fact_ids, posterior.as_dict(), normalise=False
+            )
+            assert posterior.entropy() == rebuilt.entropy()
+            assert posterior.marginals() == rebuilt.marginals()
+            session.close()
+
+
 class TestWideFactSets:
     """Distributions past 63 facts: masks exceed int64, so the array fast
-    path must fall back to object-dtype masks without changing results."""
+    path runs on packed uint64 bit planes, with the dict path's results."""
 
     @staticmethod
     def wide_distribution(num_facts=70, support=40, seed=1):
@@ -237,20 +274,53 @@ class TestWideFactSets:
         probs = {mask: rng.uniform(0.1, 1.0) for mask in masks}
         return JointDistribution(fact_ids, probs)
 
+    def test_support_arrays_are_planes(self):
+        dist = self.wide_distribution()
+        masks, probabilities = dist.support_arrays()
+        assert masks.dtype == np.uint64
+        assert masks.shape == (dist.support_size, 2)
+        assert not masks.flags.writeable and not probabilities.flags.writeable
+        assert probabilities.tolist() == [p for _, p in dist.items()]
+
     def test_entropy_and_marginals(self):
         dist = self.wide_distribution()
         entropy = dist.entropy()
         assert 0.0 < entropy <= dist.num_facts
-        for probability in dist.marginals().values():
-            assert -1e-9 <= probability <= 1.0 + 1e-9
-        assert dist.marginal("f69") == pytest.approx(dist.marginals()["f69"])
+        assert entropy == pytest.approx(entropy_of(p for _, p in dist.items()))
+        marginals = dist.marginals()
+        for position, fact_id in enumerate(dist.fact_ids):
+            expected = sum(p for mask, p in dist.items() if mask >> position & 1)
+            assert marginals[fact_id] == pytest.approx(expected)
+        assert dist.marginal("f69") == marginals["f69"]
 
     def test_marginalize_and_condition(self):
         dist = self.wide_distribution()
         sub = dist.marginalize(["f0", "f69"])
         assert sub.num_facts == 2
-        conditioned = dist.condition({"f69": True})
+        conditioned = dist.condition({"f69": True, "f3": False})
+        expected = {
+            mask: p
+            for mask, p in dist.items()
+            if mask >> 69 & 1 and not mask >> 3 & 1
+        }
+        assert set(conditioned.support()) == set(expected)
         assert conditioned.marginal("f69") == pytest.approx(1.0)
+
+    def test_from_support_arrays_adopts_either_layout(self):
+        from repro.core.bitplanes import pack_masks
+
+        dist = self.wide_distribution()
+        keys = list(dist.support())
+        masses = np.array([p for _, p in dist.items()])
+        masses[1] = 0.0
+        for masks in (pack_masks(keys, dist.num_facts), np.array(keys, dtype=object)):
+            rebuilt = JointDistribution.from_support_arrays(
+                dist.fact_ids, masks, masses
+            )
+            planes, probabilities = rebuilt.support_arrays()
+            assert planes.dtype == np.uint64 and planes.flags.c_contiguous
+            assert rebuilt.support() == tuple(keys[:1] + keys[2:])
+            assert probabilities.sum() == pytest.approx(1.0)
 
     def test_selection_and_merging_still_work(self):
         from repro.core.answers import AnswerSet

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.bitplanes import unpack_planes
 from repro.core.crowd import CrowdModel
 from repro.core.selection import GreedySelector
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
@@ -66,11 +67,23 @@ class TestGeneration:
         assert dist.support_size == 60
         assert len(set(dist.support())) == 60
 
-    def test_wide_fact_sets_use_object_masks_and_still_select(self):
+    def test_63_fact_planes_become_an_int64_column(self):
+        # 63 facts are drawn as one-word planes but fit the int64 layout.
+        dist = generate_scale_distribution(
+            ScaleCorpusConfig(num_facts=63, support_size=64, seed=5)
+        )
+        masks, _ = dist.support_arrays()
+        assert masks.dtype == np.int64 and masks.ndim == 1
+        assert masks.tolist() == list(dist.support())
+        assert max(dist.support()) >= 1 << 60
+
+    def test_wide_fact_sets_use_planes_and_still_select(self):
         dist = generate_scale_distribution(
             ScaleCorpusConfig(num_facts=70, support_size=64, seed=5)
         )
         masks, _ = dist.support_arrays()
-        assert masks.dtype == object
+        assert masks.dtype == np.uint64
+        assert masks.shape == (64, 2)
+        assert unpack_planes(masks) == list(dist.support())
         result = GreedySelector().select(dist, CrowdModel(0.8), 2)
         assert len(result.task_ids) == 2

@@ -10,6 +10,8 @@ covers the configuration validation that guards the parallel flags.
 
 import multiprocessing
 import os
+import signal
+import threading
 from dataclasses import replace
 
 import pytest
@@ -20,10 +22,12 @@ from repro.datasets import BookCorpusConfig, generate_book_corpus
 from repro.evaluation import (
     ExperimentConfig,
     build_problems,
+    experiment,
     run_quality_experiment,
 )
 from repro.exceptions import CrowdFusionError
 from repro.fusion import ModifiedCRH
+from repro.testing import faults
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +134,53 @@ class TestFanOutEquivalence:
             problems, fan_out(config, 2), budgets=budgets
         )
         assert_identical_curves(serial, fanned)
+
+
+@pytest.mark.parallel
+class TestFanOutSupervision:
+    @pytest.mark.parametrize("kill", ["fault_plan", "sigkill"])
+    def test_killed_worker_raises_instead_of_hanging(self, problems, monkeypatch, kill):
+        """A fan-out worker dies at the second entity: the sweep raises an
+        error naming the exit code, and leaves no worker behind."""
+        config = fan_out(
+            ExperimentConfig(selector="greedy", k=2, budget_per_entity=8, seed=5), 2
+        )
+        plan = faults.FaultPlan()
+        exit_code = -signal.SIGKILL
+        if kill == "fault_plan":
+            plan = faults.FaultPlan(kill_shard_at_entity=2)
+            exit_code = faults.KILL_EXITCODE
+        else:
+            trajectory = experiment.run_entity_trajectory
+
+            def sigkilled_at_second_entity(problem, index, *args):
+                if index == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return trajectory(problem, index, *args)
+
+            monkeypatch.setattr(
+                experiment, "run_entity_trajectory", sigkilled_at_second_entity
+            )
+        outcome = {}
+
+        def sweep():
+            try:
+                run_quality_experiment(problems, config)
+            except BaseException as error:  # noqa: BLE001 - inspected below
+                outcome["error"] = error
+
+        # The sweep runs on a daemon thread, so a fan-out that waits forever
+        # for the dead worker's entity fails the join below instead of
+        # stalling the suite.
+        with faults.injected(plan):
+            thread = threading.Thread(target=sweep, daemon=True)
+            thread.start()
+            thread.join(30)
+        assert not thread.is_alive(), "the fan-out hung on a dead worker"
+        error = outcome.get("error")
+        assert isinstance(error, CrowdFusionError), error
+        assert f"exit code {exit_code}" in str(error)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parallel

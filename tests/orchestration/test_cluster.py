@@ -298,6 +298,52 @@ class TestFencingAndDelivery:
         ]
         assert sorted(r["index"] for r in quarantined) == [0, 1]
 
+    def test_undecodable_payload_is_charged_not_journalled(
+        self, problems, tmp_path, monkeypatch
+    ):
+        """A worker on other code answers entity 0 with a payload that is no
+        trajectory: the coordinator retries it, then quarantines it, and the
+        payload never reaches a worker journal."""
+        from repro.orchestration import cluster_worker
+
+        bogus = {"bogus": 1}
+        running = []
+        run_trajectory = cluster_worker.run_entity_trajectory
+        encode = cluster_worker.trajectory_to_payload
+
+        def tracked_run(problem, index, *args):
+            running.append(index)
+            return run_trajectory(problem, index, *args)
+
+        def payload_of(trajectory):
+            return bogus if running[-1] == 0 else encode(trajectory)
+
+        monkeypatch.setattr(cluster_worker, "run_entity_trajectory", tracked_run)
+        monkeypatch.setattr(cluster_worker, "trajectory_to_payload", payload_of)
+        cluster = cluster_config(tmp_path, lease_entities=1, max_attempts=2)
+        report, errors = run_with_thread_workers(problems, CONFIG, cluster)
+        assert errors == []
+        assert report.completed == len(problems) - 1
+        assert [entity for entity, _ in report.quarantined] == [problems[0].entity]
+        done = [
+            record
+            for path in worker_journal_paths(cluster.run_dir)
+            for record in read_records(path)
+            if record["type"] == "entity_done"
+        ]
+        assert sorted(record["index"] for record in done) == list(
+            range(1, len(problems))
+        )
+        assert all(record["trajectory"] != bogus for record in done)
+        quarantined = [
+            r
+            for r in read_records(os.path.join(cluster.run_dir, JOURNAL_NAME))
+            if r["type"] == "quarantined"
+        ]
+        assert [r["index"] for r in quarantined] == [0]
+        assert "malformed result payload: KeyError" in quarantined[0]["error"]
+        assert "initial_cost" in quarantined[0]["error"]
+
     def test_worker_for_a_different_sweep_is_refused(self, problems, tmp_path):
         other_config = ExperimentConfig(
             selector="greedy_prune_pre", k=3, budget_per_entity=9, seed=99

@@ -18,6 +18,7 @@ from repro.service.api import (
     ValidationFailedError,
     decode_channel,
     encode_channel,
+    encode_distribution,
 )
 from repro.service.transport import bound_port
 
@@ -131,6 +132,54 @@ def test_malformed_requests_get_validation_errors_not_disconnects():
             await writer.drain()
             second = json.loads(await reader.readline())
             assert not first["ok"] and second["ok"]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    run(_with_server(scenario))
+
+
+def test_non_object_channel_or_answers_get_400_on_a_live_connection():
+    # Every bad request travels on one connection: a handler that died on a
+    # non-object operand would leave the next readline at EOF.
+    async def scenario(service, port):
+        prior = dense_distribution(5, 24, seed=34)
+        created = await service.create_session(prior, CrowdModel(0.8), budget=6)
+        create = {
+            "op": "create_session",
+            "distribution": encode_distribution(prior),
+            "budget": 4,
+        }
+        bad_requests = [
+            {**create, "channel": channel}
+            for channel in (None, "uniform", 0.8, 3, True, False, [], [0.8], "")
+        ]
+        bad_requests.append(
+            {
+                **create,
+                "channel": {
+                    "kind": "per_fact",
+                    "default_accuracy": 0.8,
+                    "fact_accuracies": [0.9],
+                },
+            }
+        )
+        bad_requests += [
+            {"op": "post_answers", "session_id": created.session_id, "answers": answers}
+            for answers in ("f0", 1, 0.5, True, ["f0"], [True])
+        ]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            for request in bad_requests:
+                writer.write((json.dumps(request) + "\n").encode("utf-8"))
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                response = json.loads(await reader.readline() or b"null")
+                operand = request.get("channel", request.get("answers"))
+                assert response is not None, f"connection dropped on {operand!r}"
+                assert response["error"]["code"] == "validation_failed"
+                assert response["error"]["status"] == 400
+                assert json.loads(await reader.readline())["result"]["pong"]
         finally:
             writer.close()
             await writer.wait_closed()
