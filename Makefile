@@ -46,15 +46,20 @@ bench-smoke:
 # (against Python-int masks), JointDistribution and the scale generator on
 # planes past 63 facts, the wide-fact refinement suite (the planes engine vs.
 # the test tree's object-dtype mask oracle and greedy_reference), the
-# batched-scan differential suite (the scan vs. the per-candidate NumPy and
-# scalar oracles, block independence), and the wide_facts benchmark scenario.
+# batched-scan differential suite (the offset-bincount scan of small
+# supports vs. the per-candidate NumPy and scalar oracles, block
+# independence), the histogram-scan suite (the per-slice histogram grouping
+# of large supports, forced on every batched-scan case and engaging on its
+# own past 2^12 rows, vs. the scalar oracle, greedy_reference and the pool),
+# and the wide_facts benchmark scenario.
 engine-smoke:
 	$(PYTEST) -q \
 		tests/core/test_bitplanes.py \
 		tests/core/test_distribution.py \
 		tests/datasets/test_scale.py \
 		tests/core/selection/test_wide_facts.py \
-		tests/core/selection/test_batched_scan.py
+		tests/core/selection/test_batched_scan.py \
+		tests/core/selection/test_histogram_scan.py
 	$(PYTEST) -q benchmarks/bench_wide_facts.py
 
 # The fault-injection chaos suite: worker kills mid-scan, hung dispatches,

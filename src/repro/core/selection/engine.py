@@ -22,13 +22,20 @@ combining four ideas:
    ``O(w·2^w)`` transform per candidate instead of rebuilding everything.
 
 4. **Batched scans** — :meth:`EntropyEngine.scan` scores a whole block of
-   candidates with a fixed number of NumPy calls: one offset ``bincount``
-   over the stacked weighted bit columns, one row-wise channel transform over
-   every candidate's table, the candidate channels broadcast over the block,
-   and one entropy reduction per contiguous row.  Because every reduction
-   stays inside one candidate's row, a candidate's entropies do not depend on
-   which other candidates share its block — a pool worker scoring a slice of
-   the candidates returns the very floats the in-process scan would.
+   candidates with a fixed number of NumPy calls: one grouping step for the
+   block, one row-wise channel transform over every candidate's table, the
+   candidate channels broadcast over the block, and one entropy reduction
+   per contiguous row.  The grouping depends on the support size alone.  An
+   ordinary support runs one offset ``bincount`` over the stacked weighted
+   bit columns, O(rows × candidates).  A support of at least
+   ``cells · 2^width · 2^8 · 4`` rows is grouped through *slice histograms*
+   (the "Four Russians" table trick): one weighted ``bincount`` per 8-bit
+   mask slice the candidates touch, keyed by ``(combined << 8) | slice``,
+   after which a candidate's table is the row sum of the bins where its bit
+   is set, O(rows × ⌈n/8⌉).  Because every reduction stays inside one
+   candidate's row, a candidate's entropies do not depend on which other
+   candidates share its block — a pool worker scoring a slice of the
+   candidates returns the very floats the in-process scan would.
    :meth:`EntropyEngine.extend` commits the winner from the tables of the
    scan that ranked it instead of convolving it a second time.
 
@@ -89,10 +96,28 @@ _WEIGHTED_CACHE_MAX_SUPPORT = 1 << 18
 #: Cap on one scan block's working set, in array entries: candidates × the
 #: larger of the support size (the stacked bincount keys and weights) and the
 #: state table size ``cells × 2^width`` (the channel and answer tables).  A
-#: block always holds at least one candidate, so a 2^20-row support is scanned
-#: one candidate at a time with exactly the arrays a single evaluation needs.
-#: The same cap bounds the answer tables a scan keeps for :meth:`extend`.
+#: block always holds at least one candidate.  On the histogram path the cap
+#: bounds one slice's keys plus its candidates' ``cells × 2^width × 2^8``
+#: bin selections instead.  The same cap bounds the answer tables a scan
+#: keeps for :meth:`extend`.
 _SCAN_BLOCK_MAX_ENTRIES = 1 << 20
+
+#: Bits per support-mask slice of the histogram scan.  Slices are cached as
+#: ``uint8`` columns, and 8 divides 64, so no slice straddles a plane word.
+_SLICE_BITS = 8
+
+#: The histogram scan groups a state once the support holds at least this
+#: many rows per bin of one slice histogram (``cells · 2^width · 2^8``
+#: bins).  The rule reads the engine and the state only, never the
+#: candidates, so the path — and a candidate's floats — cannot depend on
+#: which candidates share a block.  Smaller supports are bound by NumPy
+#: dispatch, not by rows, and keep the offset ``bincount``.
+_HISTOGRAM_MIN_FILL = 4
+
+#: ``_SLICE_BIT_TABLE[b, v]`` is bit ``b`` of slice value ``v``, as 0.0 or 1.0.
+_SLICE_BIT_TABLE = (
+    (np.arange(1 << _SLICE_BITS) >> np.arange(_SLICE_BITS)[:, np.newaxis]) & 1
+).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -170,10 +195,13 @@ class CandidateScan:
     ) -> Optional[Tuple[np.ndarray, np.ndarray, float, float]]:
         """``(A_false, A_true, H(T ∪ {f}), H(I, T ∪ {f}))`` of a scanned candidate.
 
-        ``None`` when the scan did not keep that candidate's tables (an
-        oversized scan keeps only the blocks that fit).
+        ``None`` when the scan did not score that candidate, or did not keep
+        its tables (an oversized scan keeps only the blocks that fit).
         """
-        index = self.fact_ids.index(fact_id)
+        try:
+            index = self.fact_ids.index(fact_id)
+        except ValueError:
+            return None
         for start, answer_false, answer_true in self._blocks:
             row = index - start
             if 0 <= row < answer_false.shape[0]:
@@ -232,6 +260,8 @@ class EntropyEngine:
         self._masks, self._probabilities = distribution.support_arrays()
         self._cell_index, self._num_cells = self._build_interest_cells(interest_ids)
         self._bits: Dict[str, np.ndarray] = {}
+        #: ``uint8`` mask slices of the histogram scan, by slice index.
+        self._slices: Dict[int, np.ndarray] = {}
         self._weighted_bits: Dict[str, np.ndarray] = {}
         self._accuracy: Dict[str, float] = {}
         self._noise: Dict[str, float] = {}
@@ -326,6 +356,23 @@ class EntropyEngine:
                 self._weighted_bits[fact_id] = weighted
         return weighted
 
+    def _mask_slice(self, index: int) -> np.ndarray:
+        """Mask bits ``[8·index, 8·index + 8)`` of every support row, as ``uint8``.
+
+        Cached like :meth:`bits`: the slices are structural, so they survive
+        :meth:`reweight`, :meth:`load_probabilities` and :meth:`set_channel`.
+        """
+        column = self._slices.get(index)
+        if column is None:
+            low = index * _SLICE_BITS
+            if self._masks.ndim == 1:
+                shifted = self._masks >> low
+            else:
+                shifted = self._masks[:, low // 64] >> np.uint64(low % 64)
+            column = (shifted & 0xFF).astype(np.uint8)
+            self._slices[index] = column
+        return column
+
     def accuracy_for(self, fact_id: str) -> float:
         """Channel accuracy of ``fact_id`` (cached lookup into the model)."""
         accuracy = self._accuracy.get(fact_id)
@@ -382,10 +429,12 @@ class EntropyEngine:
         view._uniform = self._uniform
         view._masks = self._masks
         view._probabilities = self._probabilities
-        # The bit columns are channel- and probability-independent, so the
-        # cache is shared as the same dict object: a column materialised for
-        # one query is warm for every other (and for the parent).
+        # The bit columns and mask slices are channel- and
+        # probability-independent, so their caches are shared as the same
+        # dict objects: a column materialised for one query is warm for
+        # every other (and for the parent).
         view._bits = self._bits
+        view._slices = self._slices
         # Everything that depends on the snapshot — the probability products,
         # the channel accuracies — is seeded from the parent but kept
         # private, so a later reweight or channel swap on the parent can
@@ -476,10 +525,56 @@ class EntropyEngine:
             bit_accuracies=None if self._uniform is not None else np.empty(0),
         )
 
-    def _block_size(self, state: SelectionState) -> int:
-        """Candidates per scan block under :data:`_SCAN_BLOCK_MAX_ENTRIES`."""
+    def _uses_histograms(self, state: SelectionState) -> bool:
+        """Whether scans of ``state`` group through slice histograms."""
+        bins = (self._num_cells << state.width) << _SLICE_BITS
+        return self._masks.shape[0] >= _HISTOGRAM_MIN_FILL * bins
+
+    def _block_size(self, state: SelectionState, count: int) -> int:
+        """Candidates per scan block under :data:`_SCAN_BLOCK_MAX_ENTRIES`.
+
+        A histogram scan is one block: its slice histograms serve every
+        candidate, and its tables hold ``cells · 2^width`` entries each.
+        """
+        if self._uses_histograms(state):
+            return max(1, count)
         footprint = max(self._masks.shape[0], self._num_cells << state.width)
         return max(1, _SCAN_BLOCK_MAX_ENTRIES // footprint)
+
+    def _histogram_true(
+        self, state: SelectionState, fact_ids: Sequence[str]
+    ) -> np.ndarray:
+        """``(block, cells · 2^width)`` true mass of each candidate, by slice.
+
+        One weighted ``bincount`` keyed by ``(combined << 8) | slice`` per
+        mask slice the candidates touch; a candidate's table is the row sum
+        of the bins where its bit is set.  The 0/1 product is exact and each
+        ``(candidate, key)`` row sums its own contiguous bins, so a
+        candidate's floats do not depend on the rest of the block.
+        """
+        stride = self._num_cells << state.width
+        bins = stride << _SLICE_BITS
+        positions = np.array(self._distribution.positions(fact_ids), dtype=np.int64)
+        slices = positions // _SLICE_BITS
+        selectors = _SLICE_BIT_TABLE[positions % _SLICE_BITS]
+        # Candidates per product: one slice's keys plus its products stay
+        # under the block cap (at least one candidate at a time).
+        chunk = max(1, (_SCAN_BLOCK_MAX_ENTRIES - self._masks.shape[0]) // bins)
+        shifted = state.combined << _SLICE_BITS
+        grouped = np.empty((len(fact_ids), stride))
+        for index in sorted(set(slices.tolist())):
+            histogram = np.bincount(
+                shifted | self._mask_slice(index),
+                weights=self._probabilities,
+                minlength=bins,
+            ).reshape(stride, 1 << _SLICE_BITS)
+            members = np.flatnonzero(slices == index)
+            for start in range(0, members.size, chunk):
+                rows = members[start:start + chunk]
+                grouped[rows] = (
+                    histogram[np.newaxis] * selectors[rows][:, np.newaxis, :]
+                ).sum(axis=-1)
+        return grouped
 
     def _score_block(
         self, state: SelectionState, fact_ids: Sequence[str]
@@ -497,21 +592,23 @@ class EntropyEngine:
         width = state.width
         count = len(fact_ids)
         stride = self._num_cells << width
-        if count == 1:
-            keys = state.combined
-            weights = self.weighted_bits(fact_ids[0])
+        if self._uses_histograms(state):
+            grouped_true = self._histogram_true(state, fact_ids)
         else:
-            # Candidate i's rows land in bins [i·stride, (i+1)·stride), so one
-            # bincount groups the whole block, each bin still summed in
-            # support order.
-            offsets = np.arange(0, count * stride, stride, dtype=np.int64)
-            keys = np.add.outer(offsets, state.combined).ravel()
-            weights = np.concatenate(
-                [self.weighted_bits(fact_id) for fact_id in fact_ids]
-            )
-        grouped_true = np.bincount(
-            keys, weights=weights, minlength=count * stride
-        ).reshape(count * self._num_cells, 1 << width)
+            if count == 1:
+                keys = state.combined
+                weights = self.weighted_bits(fact_ids[0])
+            else:
+                # Candidate i's rows land in bins [i·stride, (i+1)·stride), so
+                # one bincount groups the whole block, each bin still summed
+                # in support order.
+                offsets = np.arange(0, count * stride, stride, dtype=np.int64)
+                keys = np.add.outer(offsets, state.combined).ravel()
+                weights = np.concatenate(
+                    [self.weighted_bits(fact_id) for fact_id in fact_ids]
+                )
+            grouped_true = np.bincount(keys, weights=weights, minlength=count * stride)
+        grouped_true = grouped_true.reshape(count * self._num_cells, 1 << width)
         if self._uniform is not None:
             channeled_true = bsc_transform_rows(grouped_true, width, self._uniform)
             accuracy = self._uniform
@@ -542,15 +639,16 @@ class EntropyEngine:
 
         The candidates are scored in blocks of a fixed number of NumPy calls
         each (see :meth:`_score_block`), blocks sized under
-        :data:`_SCAN_BLOCK_MAX_ENTRIES`.  The state is not mutated.  Adds one
-        to :attr:`evaluations` per candidate.
+        :data:`_SCAN_BLOCK_MAX_ENTRIES`, or in one block when the support is
+        large enough for slice histograms.  The state is not mutated.  Adds
+        one to :attr:`evaluations` per candidate.
         """
         fact_ids = tuple(fact_ids)
         self.evaluations += len(fact_ids)
         entropies: List[float] = []
         joint_entropies: List[float] = []
         blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        block = self._block_size(state)
+        block = self._block_size(state, len(fact_ids))
         kept = 0
         for start in range(0, len(fact_ids), block):
             task, joint, answer_false, answer_true = self._score_block(

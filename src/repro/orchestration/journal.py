@@ -38,6 +38,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.exceptions import OrchestrationError
+from repro.service.api import decode_json_line
 from repro.testing import faults
 
 
@@ -95,23 +96,27 @@ class JournalWriter:
 def read_records(path: str) -> List[Dict[str, Any]]:
     """Read every whole record from a journal, dropping a torn trailing line.
 
-    A torn line anywhere *except* the tail means the file was corrupted by
+    A line that does not decode to one JSON object counts as torn.  A torn
+    line anywhere *except* the tail means the file was corrupted by
     something other than a crash mid-append and raises
     :class:`OrchestrationError` — resuming from a lying journal silently
     would be worse than failing loudly.
     """
     if not os.path.exists(path):
         return []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
     # A well-formed journal ends with a newline, so the final split element
     # is empty; anything else is the torn tail of an interrupted append.
-    if lines and lines[-1] == "":
+    if lines and lines[-1] == b"":
         lines.pop()
     records: List[Dict[str, Any]] = []
     for position, line in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            record = decode_json_line(line)
+            if not isinstance(record, dict):
+                raise ValueError("a journal record must be a JSON object")
+            records.append(record)
         except ValueError:
             if position == len(lines) - 1:
                 break  # torn trailing line from a crash mid-append

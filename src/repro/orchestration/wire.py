@@ -39,10 +39,10 @@ import json
 import socket
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Type
+from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 from repro.exceptions import OrchestrationError
-from repro.service.api import MAX_LINE_BYTES
+from repro.service.api import MAX_LINE_BYTES, decode_json_line
 from repro.testing import faults
 
 
@@ -160,24 +160,56 @@ def encode_message(message: Any) -> bytes:
     )
 
 
+#: JSON values each field annotation accepts.  ``bool`` is a subclass of
+#: ``int`` in Python, so only ``bool`` fields accept it.
+_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
+    "str": (str,),
+    "int": (int,),
+    "float": (float, int),
+    "bool": (bool,),
+    "Optional[str]": (str, type(None)),
+    "Optional[Dict[str, Any]]": (dict, type(None)),
+}
+
+
+def _field_value_ok(annotation: str, value: Any) -> bool:
+    if isinstance(value, bool) and annotation != "bool":
+        return False
+    return isinstance(value, _FIELD_TYPES[annotation])
+
+
 def decode_message(line: bytes) -> Any:
-    """Parse one wire line back into its dataclass; loud on anything else."""
+    """Parse one wire line back into its dataclass; loud on anything else.
+
+    Every field must carry the JSON type its annotation declares, so a
+    handler never meets, say, a list where it hashes a lease id.
+    """
     try:
-        body = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
+        body = decode_json_line(line)
+    except ValueError as error:
         raise WireProtocolError(f"malformed wire line: {error}")
     if not isinstance(body, dict):
         raise WireProtocolError("a wire message must be a JSON object")
     name = body.pop("type", None)
+    if not isinstance(name, str):
+        raise WireProtocolError(
+            f"wire message type must be a string, got {type(name).__name__}"
+        )
     cls = _MESSAGE_TYPES.get(name)
     if cls is None:
         raise WireProtocolError(f"unknown wire message type {name!r}")
-    fields = {field.name for field in dataclasses.fields(cls)}
-    unknown = set(body) - fields
+    fields = {field.name: field.type for field in dataclasses.fields(cls)}
+    unknown = set(body) - set(fields)
     if unknown:
         raise WireProtocolError(
             f"unknown fields {sorted(unknown)} in wire message {name!r}"
         )
+    for key, value in body.items():
+        if not _field_value_ok(fields[key], value):
+            raise WireProtocolError(
+                f"field {key!r} of wire message {name!r} must be "
+                f"{fields[key]}, got {type(value).__name__}"
+            )
     try:
         return cls(**body)
     except TypeError as error:

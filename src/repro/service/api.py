@@ -21,8 +21,9 @@ the transport and the client share one vocabulary:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple, Type
+from typing import Any, Dict, Mapping, Tuple, Type, Union
 
 from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel, CrowdModel, PerFactChannelModel
@@ -34,6 +35,22 @@ from repro.exceptions import CrowdFusionError
 #: buffers from it: asyncio's default 64 KiB StreamReader limit would make
 #: ``readline()`` raise on any realistic posterior payload.
 MAX_LINE_BYTES = 8 * 1024 * 1024
+
+
+def decode_json_line(line: Union[bytes, str]) -> Any:
+    """``json.loads`` of one JSON-lines line, every failure a ``ValueError``.
+
+    Bytes are decoded as UTF-8 (``UnicodeDecodeError`` is a ``ValueError``).
+    A line nested past the parser's recursion limit raises
+    ``RecursionError``, which is re-raised as ``ValueError``, so every
+    reader that refuses malformed JSON refuses that line too.
+    """
+    if isinstance(line, bytes):
+        line = line.decode("utf-8")
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nesting exceeds the parser's recursion limit") from None
 
 
 # -- errors ----------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.service.api import (
     ServiceError,
     SessionClosed,
     SessionCreated,
+    decode_json_line,
     encode_answers,
     encode_channel,
     encode_distribution,
@@ -192,10 +193,10 @@ class ServiceClient:
             self._drop_connection()
             raise TransportError("the service closed the connection", session_id)
         try:
-            response = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            # A torn response line (the peer died mid-write) is a transport
-            # failure, not a protocol error.
+            response = decode_json_line(line)
+        except ValueError as error:
+            # A torn or undecodable response line (the peer died mid-write)
+            # is a transport failure, not a protocol error.
             self._drop_connection()
             raise TransportError(
                 f"the service sent a torn response line: {error}", session_id

@@ -27,6 +27,7 @@ from repro.service.api import (
     ValidationFailedError,
     decode_channel,
     decode_distribution,
+    decode_json_line,
     error_payload,
 )
 from repro.service.server import RefinementService
@@ -126,15 +127,16 @@ async def _handle_connection(
                 break
             response: Dict[str, Any]
             try:
-                request = json.loads(line.decode("utf-8"))
+                request = decode_json_line(line)
                 if not isinstance(request, dict):
                     raise ValidationFailedError("a request must be a JSON object")
                 response = {"ok": True, "result": await _dispatch(service, request)}
             except ServiceError as error:
                 response = {"ok": False, "error": error_payload(error)}
             except (TypeError, ValueError, OverflowError) as error:
-                # ValueError covers JSONDecodeError and UnicodeDecodeError;
-                # OverflowError is a JSON number past the float range.
+                # ValueError covers JSONDecodeError, UnicodeDecodeError and
+                # nesting past the parser's recursion limit; OverflowError
+                # is a JSON number past the float range.
                 response = {
                     "ok": False,
                     "error": error_payload(

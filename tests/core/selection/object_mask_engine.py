@@ -16,9 +16,10 @@ class ObjectMaskEngine(EntropyEngine):
     """An :class:`EntropyEngine` whose support masks are Python ints.
 
     The candidate scan reads masks only through
-    :func:`repro.core.entropy.bit_column`, which shifts and masks an object
-    column one Python call per row; the interest cells are still built from
-    the distribution's planes by the parent constructor.
+    :func:`repro.core.entropy.bit_column` and, on supports large enough for
+    the histogram scan, through ``EntropyEngine._mask_slice``; both shift and
+    mask an object column one Python call per row.  The interest cells are
+    still built from the distribution's planes by the parent constructor.
     """
 
     def __init__(self, distribution, crowd, interest_ids=None):

@@ -9,6 +9,7 @@ inside plain tier-1.  Fork-based local-worker pools and SIGKILL chaos live
 in ``tests/chaos/test_cluster_recovery.py``.
 """
 
+import json
 import os
 import socket
 import threading
@@ -390,6 +391,73 @@ class TestFencingAndDelivery:
             if record["type"] == "entity_done"
         ]
         assert all(record["worker"] == "right-sweep" for record in done)
+
+
+#: One wire line each, from a peer that never said Hello.  Each used to
+#: escape the coordinator's decoder untyped and kill the sweep.
+HOSTILE_LINES = [
+    pytest.param(b'{"type": [1]}\n', id="unhashable_type"),
+    pytest.param(b"[" * 100_000 + b"\n", id="deep_nesting"),
+    pytest.param(
+        b'{"type": "heartbeat", "worker": "x", "lease": ["l"], "epoch": 1}\n',
+        id="heartbeat_list_lease",
+    ),
+    pytest.param(
+        b'{"type": "entity_result", "worker": "x", "lease": {"l": 1}, '
+        b'"epoch": 1, "index": 0, "ok": true}\n',
+        id="result_object_lease",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def clean_sweep(problems, tmp_path_factory):
+    cluster = cluster_config(tmp_path_factory.mktemp("clean"))
+    report, errors = run_with_thread_workers(problems, CONFIG, cluster)
+    assert errors == []
+    return report.result
+
+
+class TestHostilePeers:
+    @pytest.mark.parametrize("line", HOSTILE_LINES)
+    def test_a_bad_line_is_refused_and_the_sweep_completes(
+        self, problems, clean_sweep, tmp_path, line
+    ):
+        replies = []
+        threads = []
+
+        def hostile_peer_then_worker(port):
+            # The hostile line is answered before the honest worker connects,
+            # so the coordinator handles it while the sweep is still open.
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                sock.sendall(line)
+                with sock.makefile("rb") as reader:
+                    replies.append(reader.readline())
+                    replies.append(reader.readline())
+            run_shard_worker(
+                problems, CONFIG, {}, "127.0.0.1", port, "honest",
+                reconnect_window_s=5.0,
+            )
+
+        def start(port):
+            thread = threading.Thread(
+                target=hostile_peer_then_worker, args=(port,), daemon=True
+            )
+            thread.start()
+            threads.append(thread)
+
+        report = run_cluster_experiment(
+            problems, CONFIG, cluster_config(tmp_path), on_listening=start
+        )
+        for thread in threads:
+            thread.join(timeout=15.0)
+        assert not any(thread.is_alive() for thread in threads)
+        refusal = json.loads(replies[0])
+        assert refusal["type"] == "error"
+        assert refusal["code"] == "protocol_error"
+        assert replies[1] == b""  # exactly one line, then the coordinator hung up
+        assert report.completed == len(problems)
+        assert_identical_curves(clean_sweep, report.result)
 
 
 @pytest.mark.parallel

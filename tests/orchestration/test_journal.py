@@ -29,6 +29,10 @@ from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan
 
 
+#: Brackets past the JSON parser's recursion limit.
+DEEP = 100_000
+
+
 @pytest.fixture(autouse=True)
 def disarm():
     faults.uninstall()
@@ -63,6 +67,34 @@ class TestJournal:
         path = str(tmp_path / "journal.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"type": "a"}\ngarbage\n{"type": "b"}\n')
+        with pytest.raises(OrchestrationError, match="corrupt at line 2"):
+            read_records(path)
+
+    def test_deep_nesting_mid_file_raises_orchestration_error(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"type": "a"}\n' + "[" * DEEP + '\n{"type": "b"}\n')
+        with pytest.raises(OrchestrationError, match="corrupt at line 2"):
+            read_records(path)
+
+    def test_deep_nesting_torn_tail_is_dropped(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with JournalWriter(path) as journal:
+            journal.append({"type": "a"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "b", "x": ' + "[" * DEEP)
+        assert read_records(path) == [{"type": "a"}]
+
+    @pytest.mark.parametrize(
+        "line", [b"[1, 2]", b'"text"', b"\xff\xfe not utf-8"], ids=["list", "string", "bytes"]
+    )
+    def test_non_object_lines_are_torn(self, tmp_path, line):
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b'{"type": "a"}\n' + line)
+        assert read_records(path) == [{"type": "a"}]
+        with open(path, "ab") as handle:
+            handle.write(b'\n{"type": "b"}\n')
         with pytest.raises(OrchestrationError, match="corrupt at line 2"):
             read_records(path)
 

@@ -182,3 +182,25 @@ def test_wrapped_stream_clients_cannot_reconnect():
                 await client.ping()
 
     run(_with_server(scenario))
+
+
+def test_a_deeply_nested_response_is_a_transport_error():
+    async def reply_deep(reader, writer):
+        await reader.readline()
+        writer.write(b"[" * 100_000 + b"\n")
+        await writer.drain()
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(reply_deep, "127.0.0.1", 0)
+        try:
+            port = server.sockets[0].getsockname()[1]
+            client = await ServiceClient.connect("127.0.0.1", port, retry=NO_RETRY)
+            async with client:
+                with pytest.raises(TransportError, match="recursion limit"):
+                    await client.ping()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    run(scenario())

@@ -139,6 +139,26 @@ def test_malformed_requests_get_validation_errors_not_disconnects():
     run(_with_server(scenario))
 
 
+def test_nesting_past_the_recursion_limit_gets_400_on_a_live_connection():
+    async def scenario(service, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            writer.write(b"[" * 100_000 + b"\n")
+            await writer.drain()
+            response = json.loads(await reader.readline() or b"null")
+            assert response is not None, "connection dropped on the deep line"
+            assert response["error"]["code"] == "validation_failed"
+            assert response["error"]["status"] == 400
+            writer.write(b'{"op": "ping"}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["result"]["pong"]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    run(_with_server(scenario))
+
+
 def test_non_object_channel_or_answers_get_400_on_a_live_connection():
     # Every bad request travels on one connection: a handler that died on a
     # non-object operand would leave the next readline at EOF.
