@@ -93,6 +93,15 @@ serve-smoke:
 # lease-fenced cluster coordinator with two loopback shard workers — one
 # SIGKILLed mid-lease — and asserts the cluster's curve.jsonl comes out
 # byte-identical, the kill was fenced and reassigned, and no worker
-# processes leaked.
+# processes leaked.  Then the cluster suites: leases, fencing and hostile
+# peers; the coordinator's group commit judged from synced bytes only
+# (commit order, rebuilt-disk resumes, one fsync per segment of results,
+# TCP_NODELAY on both ends, injected disk faults); and the worker-SIGKILL,
+# zombie and coordinator-SIGKILL chaos cases.
 cluster-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.orchestration.cluster_smoke
+	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q \
+		tests/orchestration/test_cluster.py \
+		tests/orchestration/test_group_commit.py
+	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m chaos \
+		tests/chaos/test_cluster_recovery.py

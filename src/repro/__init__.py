@@ -65,7 +65,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "4.1.0"
+__version__ = "4.2.0"
 
 __all__ = [
     # value types

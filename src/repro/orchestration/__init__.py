@@ -17,9 +17,11 @@ Layout of a run directory::
 
     run.json        manifest: config fingerprint, entity ids, budgets
     journal.jsonl   append-only event log (started / entity_done /
-                    entity_failed / quarantined), fsync'd per record
+                    entity_failed / quarantined); the single-host
+                    orchestrator fsyncs it per record
     checkpoint.json atomic progress snapshot (completed / quarantined /
-                    pending), rewritten after every entity
+                    pending); the single-host orchestrator rewrites it
+                    after every entity
     curve.jsonl     streamed curve points of the finished sweep
     lock            pid lock (stale locks from dead pids are taken over)
 
@@ -31,7 +33,14 @@ dead or zombie leases with monotonically increasing epochs, and adds::
     leases.json           atomic epoch + active-lease snapshot
     journal-<worker>.jsonl  accepted entity_done records, per worker
 
-Worker journals are merged deterministically on resume and assembly
+The coordinator group-commits: each turn of its event loop buffers the
+records it produces, then syncs the worker journals, then the coordinator
+journal (one ``fsync`` each), rewrites ``checkpoint.json`` only when a
+lease completed or an entity was quarantined, rewrites ``leases.json``
+when a lease was granted, completed or fenced, and only then sends the
+turn's lease grants.  A crash loses at most the
+results accepted since the last commit, which resume re-runs.  Worker
+journals are merged deterministically on resume and assembly
 (:func:`merge_journals`), so a migrated or reassigned sweep's curve stays
 bit-identical to an undisturbed single-host run.
 """

@@ -24,15 +24,24 @@ trusts late arrivals:
   before granting anything, so results addressed to its predecessor are
   equally dead on arrival.
 * **Per-worker journals, merged deterministically.**  Accepted
-  ``entity_done`` records land in ``journal-<worker>.jsonl`` (fsync per
-  record); coordinator decisions (grants, expiries, rejections, failures,
-  quarantines) land in ``journal.jsonl``.  Resume and assembly read the
+  ``entity_done`` records land in ``journal-<worker>.jsonl``; coordinator
+  decisions (grants, expiries, rejections, failures, quarantines) land in
+  ``journal.jsonl``.  Resume and assembly read the
   whole set through :func:`~repro.orchestration.journal.merge_journals`,
   whose per-journal torn-tail rule and payload-conflict check keep the
   bit-identity guarantee: a migrated, resumed, or reassigned sweep produces
   a ``curve.jsonl`` byte-identical to an undisturbed single-host run,
   because every path converges on the same per-entity seeds and the same
   :func:`~repro.orchestration.orchestrator.assemble_result`.
+* **Group commit, once per loop turn.**  The event loop buffers every
+  record a turn produces and then commits once, in this order: the worker
+  journals, the coordinator journal, ``checkpoint.json`` (rewritten only
+  when a lease completed or an entity was quarantined since the last
+  write), ``leases.json`` (so the epoch is durable before any grant quotes
+  it), and only then sends the turn's lease grants.  A crash loses at most
+  the results accepted since the last commit; resume recomputes them from
+  their per-entity seeds, because the journals, never the checkpoint, are
+  the source of truth.
 
 Failed entities reuse the single-host retry machinery: each fenced or
 failed attempt is charged, re-enqueued with linear backoff, and quarantined
@@ -311,6 +320,11 @@ class _Coordinator:
         }
         self.active: Dict[str, _Lease] = {}
         self.worker_journals: Dict[str, JournalWriter] = {}
+        #: Group-commit state: what the next :meth:`_commit` must rewrite,
+        #: and the grants it sends once everything they rest on is durable.
+        self._checkpoint_due = False
+        self._leases_due = False
+        self._grants: List[Tuple[_Conn, wire.LeaseGrant]] = []
         self.selector = selectors.DefaultSelector()
         self.listener: Optional[socket.socket] = None
         self.port = 0
@@ -324,7 +338,7 @@ class _Coordinator:
     # -- durability ---------------------------------------------------------------------
 
     def _journal(self, record: Dict[str, Any]) -> None:
-        """Append one coordinator decision record, wall-clock stamped.
+        """Buffer one coordinator decision record, wall-clock stamped.
 
         The ``ts`` stamp never touches entity payloads (those live in the
         worker journals and must stay bit-reproducible); it exists so fault
@@ -332,9 +346,10 @@ class _Coordinator:
         the decision log alone.
         """
         record["ts"] = time.time()
-        self.journal.append(record)
+        self.journal.write(record)
 
     def _persist_leases(self) -> None:
+        self._leases_due = False
         atomic_write_json(
             self.leases_path,
             {
@@ -355,9 +370,30 @@ class _Coordinator:
         )
 
     def _checkpoint(self, status: str = "running") -> None:
+        self._checkpoint_due = False
         atomic_write_json(
             self.checkpoint_path, self.state.checkpoint_payload(status)
         )
+
+    def _commit(self, status: str = "running") -> None:
+        """Make this turn's records durable, then send its lease grants.
+
+        Worker journals sync before the coordinator journal, so every
+        durable ``lease_complete`` and every checkpointed entity has its
+        ``entity_done`` on disk; ``leases.json`` lands before any grant
+        quoting its epoch leaves the process.
+        """
+        for writer in self.worker_journals.values():
+            writer.sync()
+        self.journal.sync()
+        if self._checkpoint_due:
+            self._checkpoint(status)
+        if self._leases_due:
+            self._persist_leases()
+        grants, self._grants = self._grants, []
+        for conn, grant in grants:
+            if not self._send(conn, grant):
+                self._drop_conn(conn, "lease grant send failed")
 
     def _worker_journal(self, worker: str) -> JournalWriter:
         name = _safe_worker_name(worker)
@@ -403,6 +439,7 @@ class _Coordinator:
             sock, _address = self.listener.accept()
         except OSError:  # pragma: no cover - raced a dying client
             return
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         conn = _Conn(sock)
         self.selector.register(sock, selectors.EVENT_READ, conn)
@@ -469,7 +506,7 @@ class _Coordinator:
                 lease.attempt_of.get(index, 1),
                 f"lease {lease.lease_id} fenced ({reason})",
             )
-        self._persist_leases()
+        self._leases_due = True
 
     def _charge_failure(self, index: int, attempt: int, message: str) -> None:
         entity = self.problems[index].entity
@@ -493,7 +530,7 @@ class _Coordinator:
             }
             self._journal(record)
             self.state.quarantined[index] = record
-            self._checkpoint()
+            self._checkpoint_due = True
         else:
             not_before = (
                 time.monotonic() + self.cluster.retry_backoff_s * attempt
@@ -514,19 +551,15 @@ class _Coordinator:
             self._drop_conn(conn, "connection closed by peer")
             return
         conn.buffer.extend(data)
-        if len(conn.buffer) > MAX_LINE_BYTES:
-            self._send(
-                conn,
-                wire.WireError("line_too_long", "wire line exceeds limit"),
-            )
-            self._drop_conn(conn, "oversized wire line")
-            return
         while True:
             newline = conn.buffer.find(b"\n")
             if newline < 0:
                 break
             line = bytes(conn.buffer[: newline + 1])
             del conn.buffer[: newline + 1]
+            if len(line) > MAX_LINE_BYTES:
+                self._refuse_oversized(conn)
+                return
             try:
                 message = wire.decode_message(line)
             except wire.WireProtocolError as error:
@@ -536,6 +569,16 @@ class _Coordinator:
             self._handle_message(conn, message)
             if conn.sock.fileno() < 0:
                 return  # the handler dropped this connection
+        # Only the unterminated remainder can still grow past the limit;
+        # the complete lines that shared its recv were judged one by one.
+        if len(conn.buffer) > MAX_LINE_BYTES:
+            self._refuse_oversized(conn)
+
+    def _refuse_oversized(self, conn: _Conn) -> None:
+        self._send(
+            conn, wire.WireError("line_too_long", "wire line exceeds limit")
+        )
+        self._drop_conn(conn, "oversized wire line")
 
     def _handle_message(self, conn: _Conn, message: Any) -> None:
         if isinstance(message, wire.Hello):
@@ -627,10 +670,9 @@ class _Coordinator:
                 self.problems, self.config, result.index, attempt, result.payload
             )
             record["worker"] = result.worker
-            self._worker_journal(result.worker).append(record)
+            self._worker_journal(result.worker).write(record)
             self.state.completed[result.index] = record
             self.stats.results_accepted += 1
-            self._checkpoint()
         else:
             self._charge_failure(result.index, attempt, error)
         if not lease.pending:
@@ -644,7 +686,8 @@ class _Coordinator:
                     "worker": lease.worker,
                 }
             )
-            self._persist_leases()
+            self._checkpoint_due = True
+            self._leases_due = True
 
     # -- granting -----------------------------------------------------------------------
 
@@ -707,17 +750,18 @@ class _Coordinator:
                     },
                 }
             )
-            self._persist_leases()
-            if not self._send(
-                conn,
-                wire.LeaseGrant(
-                    lease=lease_id,
-                    epoch=lease.epoch,
-                    start=lease.start,
-                    stop=lease.stop,
-                ),
-            ):
-                self._drop_conn(conn, "lease grant send failed")
+            self._leases_due = True
+            self._grants.append(
+                (
+                    conn,
+                    wire.LeaseGrant(
+                        lease=lease_id,
+                        epoch=lease.epoch,
+                        start=lease.start,
+                        stop=lease.stop,
+                    ),
+                )
+            )
 
     # -- the loop -----------------------------------------------------------------------
 
@@ -727,6 +771,7 @@ class _Coordinator:
         while self.queue or self.active:
             now = time.monotonic()
             self._grant_leases(now)
+            self._commit()
             timeout = 0.2
             if self.active:
                 nearest = min(lease.deadline for lease in self.active.values())
@@ -744,11 +789,11 @@ class _Coordinator:
                         lease,
                         f"no heartbeat for {self.cluster.lease_ttl_s:.3f}s",
                     )
-        self._checkpoint("complete")
-        self._persist_leases()
         self._journal(
             {"type": "cluster_stats", **self.stats.to_payload()}
         )
+        self._checkpoint_due = self._leases_due = True
+        self._commit("complete")
         for key in list(self.selector.get_map().values()):
             conn = key.data
             if conn is not None:

@@ -65,6 +65,11 @@ DEFAULT_RECONNECT_WINDOW_S = 15.0
 
 _CONNECT_RETRY_S = 0.2
 
+#: Bound on one dial of the coordinator.  It covers the connect only: an
+#: idle worker may wait any time for its next grant, and a dead coordinator
+#: still shows up as EOF or a reset.
+_DIAL_TIMEOUT_S = 5.0
+
 
 @dataclass
 class WorkerSummary:
@@ -118,10 +123,14 @@ class _HeartbeatPump:
 
 
 def _connect(host: str, port: int, deadline: float) -> socket.socket:
-    """Dial the coordinator, retrying until ``deadline``."""
+    """Dial the coordinator, retrying until ``deadline``.
+
+    The socket comes back blocking, with no timeout, and with Nagle's
+    algorithm off: a result must not wait for the coordinator's delayed ACK.
+    """
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=_DIAL_TIMEOUT_S)
         except OSError as error:
             if time.monotonic() >= deadline:
                 raise OrchestrationError(
@@ -129,6 +138,10 @@ def _connect(host: str, port: int, deadline: float) -> socket.socket:
                     f"within the reconnect window: {error}"
                 )
             time.sleep(_CONNECT_RETRY_S)
+            continue
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
 
 def run_shard_worker(

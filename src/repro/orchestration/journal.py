@@ -4,10 +4,12 @@ Three durability building blocks, shared by the experiment orchestrator and
 the service session snapshot store:
 
 * :class:`JournalWriter` / :func:`read_records` — an append-only JSON-lines
-  event log.  Every append is flushed and ``fsync``'d before the caller
-  proceeds, so a record either made it to disk whole or the reader sees (at
-  most) one torn trailing line, which it silently drops — exactly the state
-  a crash between ``write`` and ``fsync`` can leave behind.
+  event log.  ``append`` flushes and ``fsync``'s each record before the
+  caller proceeds; ``write`` + ``sync`` group-commit a batch of records
+  with one ``fsync``.  Either way a record either made it to disk whole or
+  the reader sees (at most) one torn trailing line, which it silently
+  drops — exactly the state a crash between ``write`` and ``fsync`` can
+  leave behind.
 * :func:`atomic_write_json` / :func:`read_json` — tmp-write, fsync, rename,
   directory-fsync checkpoints.  ``rename`` is atomic on POSIX, so a reader
   observes either the previous checkpoint or the new one, never a torn file;
@@ -20,7 +22,8 @@ the service session snapshot store:
 
 Every durability-relevant syscall path has a fault hook
 (:mod:`repro.testing.faults`): ``journal_append`` can return ``"enospc"``
-(the append raises :class:`OSError` with ``ENOSPC`` *before* writing),
+(``write``, and so ``append``, raises :class:`OSError` with ``ENOSPC``
+*before* writing),
 ``checkpoint_write`` can return ``"torn"`` (half the payload is written to
 the tmp file and the rename is skipped — simulating a kill mid-write), and
 ``run_lock`` can return ``"stale_lock"`` (a dead-pid lock file is planted
@@ -67,24 +70,52 @@ def _encode(record: Dict[str, Any]) -> str:
 
 
 class JournalWriter:
-    """Append-only, fsync-per-record JSON-lines journal."""
+    """Append-only JSON-lines journal with group commit.
+
+    ``write`` only buffers a record in this process; ``sync`` hands every
+    buffered record to the file and ``fsync``'s once.  Nothing reaches the
+    file between two syncs, so a crash loses exactly the records written
+    since the last sync, and the journals of one run reach the disk in the
+    order their ``sync`` calls run.  ``append`` is ``write`` + ``sync``.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._handle = open(path, "a", encoding="utf-8")
+        self._pending: List[str] = []
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record; raises ``OSError`` on a full disk."""
+    def write(self, record: Dict[str, Any]) -> None:
+        """Buffer one record until the next :meth:`sync`.
+
+        Raises ``OSError`` on a full disk (the ``journal_append`` fault
+        hook fires here, before the record is buffered).
+        """
         directive = faults.fire("journal_append", path=self.path)
         if directive == "enospc":
             raise OSError(errno.ENOSPC, "No space left on device (injected)")
-        self._handle.write(_encode(record) + "\n")
+        self._pending.append(_encode(record) + "\n")
+
+    def sync(self) -> None:
+        """Write and ``fsync`` every buffered record; a no-op when none is."""
+        if not self._pending:
+            return
+        data, self._pending = "".join(self._pending), []
+        self._handle.write(data)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
+    def append(self, record: Dict[str, Any]) -> None:
+        """Durably append one record; raises ``OSError`` on a full disk."""
+        self.write(record)
+        self.sync()
+
     def close(self) -> None:
+        """Sync what is still buffered, then close the file."""
         if not self._handle.closed:
-            self._handle.close()
+            try:
+                self.sync()
+            finally:
+                self._handle.close()
 
     def __enter__(self) -> "JournalWriter":
         return self

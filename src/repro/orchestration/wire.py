@@ -149,12 +149,17 @@ _TYPE_NAMES: Dict[Type[Any], str] = {cls: name for name, cls in _MESSAGE_TYPES.i
 
 
 def encode_message(message: Any) -> bytes:
-    """One wire line for ``message``: compact JSON plus the trailing newline."""
+    """One wire line for ``message``: compact JSON plus the trailing newline.
+
+    The body reads the fields in place: ``dataclasses.asdict`` would
+    deep-copy every result payload just to serialise it.
+    """
     name = _TYPE_NAMES.get(type(message))
     if name is None:
         raise WireProtocolError(f"not a wire message: {type(message).__name__}")
     body = {"type": name}
-    body.update(dataclasses.asdict(message))
+    for field in dataclasses.fields(message):
+        body[field.name] = getattr(message, field.name)
     return (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode(
         "utf-8"
     )

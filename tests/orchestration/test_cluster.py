@@ -23,11 +23,14 @@ from repro.evaluation import build_problems, run_quality_experiment
 from repro.evaluation.experiment import ExperimentConfig
 from repro.exceptions import OrchestrationError
 from repro.fusion import ModifiedCRH
-from repro.orchestration import ClusterConfig, run_cluster_experiment
+from repro.orchestration import ClusterConfig, run_cluster_experiment, wire
+from repro.orchestration import cluster as cluster_module
+from repro.orchestration import cluster_worker
 from repro.orchestration.cluster import worker_journal_paths
 from repro.orchestration.cluster_worker import run_shard_worker
 from repro.orchestration.journal import read_records
-from repro.orchestration.orchestrator import JOURNAL_NAME
+from repro.orchestration.orchestrator import JOURNAL_NAME, _fingerprint
+from repro.service.api import MAX_LINE_BYTES
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
 
@@ -213,6 +216,30 @@ class TestClusterEquivalence:
             problems, CONFIG, cluster_config(tmp_path), budgets=budgets
         )
         assert errors == []
+        assert_identical_curves(serial, report.result)
+
+
+class TestIdleWorker:
+    def test_an_idle_worker_keeps_its_connection(
+        self, problems, tmp_path, monkeypatch
+    ):
+        """Waiting longer than the dial timeout for the next grant is no
+        sign of a dead coordinator: the worker must not reconnect."""
+        monkeypatch.setattr(cluster_worker, "_DIAL_TIMEOUT_S", 0.2)
+        subset = problems[:3]
+        serial = run_quality_experiment(subset, CONFIG)
+        # Two workers, leases of two: the worker holding the one-entity
+        # lease idles for a whole entity while the other finishes its pair.
+        faults.install(FaultPlan(delay_entity_seconds=0.6))
+        cluster = cluster_config(tmp_path, lease_entities=2)
+        report, errors = run_with_thread_workers(subset, CONFIG, cluster, workers=2)
+        assert errors == []
+        assert report.stats.disconnects == 0
+        types = [
+            record["type"]
+            for record in read_records(os.path.join(cluster.run_dir, JOURNAL_NAME))
+        ]
+        assert "worker_disconnected" not in types
         assert_identical_curves(serial, report.result)
 
 
@@ -456,6 +483,60 @@ class TestHostilePeers:
         assert refusal["type"] == "error"
         assert refusal["code"] == "protocol_error"
         assert replies[1] == b""  # exactly one line, then the coordinator hung up
+        assert report.completed == len(problems)
+        assert_identical_curves(clean_sweep, report.result)
+
+    def test_a_near_limit_line_sharing_a_recv_is_accepted(
+        self, problems, clean_sweep, tmp_path, monkeypatch
+    ):
+        """A legal line of exactly the limit, sent in one segment with the
+        next message, must not count that message against its length."""
+        limit = 512
+        monkeypatch.setattr(cluster_module, "MAX_LINE_BYTES", limit)
+        digest = wire.fingerprint_digest(_fingerprint(problems, CONFIG, {}))
+        bare = wire.encode_message(wire.Hello(worker="", fingerprint=digest))
+        name = "w" * (limit - len(bare))
+        hello = wire.encode_message(wire.Hello(worker=name, fingerprint=digest))
+        beat = wire.encode_message(wire.Heartbeat(worker=name, lease="", epoch=0))
+        assert len(hello) == limit
+        replies = []
+        threads = []
+
+        def near_limit_peer_then_worker(port):
+            try:
+                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                    sock.sendall(hello + beat)
+                    with sock.makefile("rb") as reader:
+                        replies.append(reader.readline())
+                        replies.append(reader.readline())
+            finally:
+                # Result lines are longer than the shrunk limit: restore it
+                # before the honest worker finishes the sweep.
+                cluster_module.MAX_LINE_BYTES = MAX_LINE_BYTES
+                run_shard_worker(
+                    problems, CONFIG, {}, "127.0.0.1", port, "honest",
+                    reconnect_window_s=5.0,
+                )
+
+        def start(port):
+            thread = threading.Thread(
+                target=near_limit_peer_then_worker, args=(port,), daemon=True
+            )
+            thread.start()
+            threads.append(thread)
+
+        report = run_cluster_experiment(
+            problems, CONFIG, cluster_config(tmp_path), on_listening=start
+        )
+        for thread in threads:
+            thread.join(timeout=15.0)
+        assert not any(thread.is_alive() for thread in threads)
+        # Both lines were taken: the peer was welcomed and, still
+        # connected, leased the first range.
+        assert [json.loads(reply)["type"] if reply else None for reply in replies] == [
+            "welcome",
+            "lease_grant",
+        ]
         assert report.completed == len(problems)
         assert_identical_curves(clean_sweep, report.result)
 

@@ -1,11 +1,13 @@
-"""Fuzz the cluster wire decoder and the journal reader.
+"""Fuzz the cluster wire codec and the journal reader.
 
 Whatever a peer sends, :func:`wire.decode_message` either returns a wire
 dataclass whose every field holds its declared JSON type, or raises
 :class:`WireProtocolError`; nothing else may escape, or one line from any
 TCP peer kills a cluster sweep.  Whatever a journal file holds,
 :func:`read_records` either returns a list of dicts or raises
-:class:`OrchestrationError`.
+:class:`OrchestrationError`.  Whatever a message holds,
+:func:`wire.encode_message` writes the same bytes as serialising
+``dataclasses.asdict`` of it.
 
 The inputs are any JSON value as the whole line, any JSON value in place of
 ``type`` or of one field of each message type, and arbitrary bytes.
@@ -18,6 +20,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +150,47 @@ def test_any_json_value_in_one_field(case):
 @settings(max_examples=100, deadline=None)
 def test_arbitrary_bytes(data):
     assert_typed_or_refused(data)
+
+
+#: Values a sender may put in a field of each declared type.
+FIELD_VALUES = {
+    "str": st.text(max_size=12),
+    "int": st.integers(),
+    "float": st.floats() | st.integers(),
+    "bool": st.booleans(),
+    "Optional[str]": st.none() | st.text(max_size=12),
+    "Optional[Dict[str, Any]]": st.none()
+    | st.dictionaries(st.text(max_size=8), json_values, max_size=4),
+}
+
+TYPE_NAMES = {
+    Hello: "hello",
+    Welcome: "welcome",
+    LeaseGrant: "lease_grant",
+    Heartbeat: "heartbeat",
+    EntityResult: "entity_result",
+    LeaseRevoked: "lease_revoked",
+    Shutdown: "shutdown",
+    WireError: "error",
+}
+
+
+@pytest.mark.parametrize("cls", MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_encoding_matches_the_asdict_encoding(cls, data):
+    message = data.draw(
+        st.builds(
+            cls,
+            **{
+                field.name: FIELD_VALUES[field.type]
+                for field in dataclasses.fields(cls)
+            },
+        )
+    )
+    body = {"type": TYPE_NAMES[cls], **dataclasses.asdict(message)}
+    expected = json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+    assert encode_message(message) == expected.encode("utf-8")
 
 
 def test_the_seed_messages_decode():
