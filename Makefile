@@ -85,9 +85,14 @@ orchestrate-smoke:
 
 # Boots a real refinement-service server on a loopback port, drives one full
 # create → select → post → posterior → close round-trip through the JSON
-# client, and asserts that no worker processes leaked.
+# client, and asserts that no worker processes leaked.  Then the service
+# suites with the pool paths forced on (placement of inline and hopped jobs,
+# deadlines, durability, the head-of-line test) and the service chaos cases.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.service.smoke
+	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q tests/service
+	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m chaos \
+		tests/chaos/test_service_chaos.py
 
 # Runs one sweep on the single-host durable orchestrator and again on the
 # lease-fenced cluster coordinator with two loopback shard workers — one

@@ -10,6 +10,7 @@ per-tenant selector instance, and the generation-keyed response caches.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -138,6 +139,8 @@ class SessionRegistry:
             "revivals": 0,
             "restored_available": 0,
         }
+        #: Snapshots of different sessions run on different executor threads.
+        self._snapshot_count_lock = threading.Lock()
         self._store = None
         start_id = 1
         if snapshot_dir is not None:
@@ -193,11 +196,9 @@ class SessionRegistry:
             budget=budget,
             dirty=self._store is not None,
         )
+        # With a store the record starts dirty: the caller writes its first
+        # snapshot (the service does so before it replies, off the loop).
         self._records[session_id] = record
-        if self._store is not None:
-            # Durable from birth: a crash before the first merge must not
-            # lose the session's existence (prior, budget, selector).
-            self.snapshot(record)
         return record
 
     def get(self, session_id: str) -> SessionRecord:
@@ -274,24 +275,27 @@ class SessionRegistry:
         self.counters["revivals"] += 1
         return record
 
-    def note_merged(self, record: SessionRecord) -> None:
-        """Mark post-merge state dirty and snapshot it, debounced.
+    def note_merged(self, record: SessionRecord) -> bool:
+        """Mark post-merge state dirty; whether a debounced snapshot is due.
 
-        Called from the merge executor hop (one drainer per session, so the
-        record is not concurrently mutated).  The debounce window bounds
-        snapshot I/O for chatty tenants; eviction and shutdown flush
-        unconditionally, so debouncing only ever delays — never loses — a
-        snapshot while the process is alive.
+        The caller writes a due snapshot with :meth:`snapshot` (the service
+        does so on its executor, from the session's drainer, so the record is
+        not concurrently mutated).  The debounce window bounds snapshot I/O
+        for chatty tenants; eviction and shutdown flush unconditionally, so
+        debouncing only ever delays — never loses — a snapshot while the
+        process is alive.
         """
         record.dirty = True
         if self._store is None:
-            return
-        now = time.monotonic()
-        if now - record.last_snapshot_at >= self._snapshot_debounce_s:
-            self.snapshot(record)
+            return False
+        return time.monotonic() - record.last_snapshot_at >= self._snapshot_debounce_s
 
     def snapshot(self, record: SessionRecord) -> None:
-        """Write one session's snapshot now (no-op without a store)."""
+        """Write one session's snapshot now (no-op without a store).
+
+        Thread-safe across sessions; one session's snapshots must not
+        overlap its own merges.
+        """
         if self._store is None:
             return
         self._store.save(
@@ -303,10 +307,15 @@ class SessionRegistry:
         )
         record.dirty = False
         record.last_snapshot_at = time.monotonic()
-        self.counters["snapshots_written"] += 1
+        with self._snapshot_count_lock:
+            self.counters["snapshots_written"] += 1
 
     def evict(self, session_id: str) -> None:
-        """Move one session to disk: flush its snapshot, then close it."""
+        """Move one session to disk: flush a dirty snapshot, then close it.
+
+        The service writes the snapshot on its executor just before, so the
+        record arrives clean and nothing is written here.
+        """
         record = self._records.get(session_id)
         if record is None:
             return
@@ -314,7 +323,8 @@ class SessionRegistry:
             raise ValidationFailedError(
                 "cannot evict sessions without a snapshot_dir"
             )
-        self.snapshot(record)
+        if record.dirty:
+            self.snapshot(record)
         del self._records[session_id]
         self._pool.remove(session_id)
         self.counters["evictions"] += 1

@@ -18,18 +18,25 @@ addressable session resources on top of the persistent
 Concurrency model: every session owns a *bounded* job queue drained by one
 asyncio task, so one tenant's requests execute strictly in submission order
 (the property that makes a service trajectory bit-identical to the same
-answer stream replayed through a standalone session) while different
-tenants' jobs interleave freely on a small thread pool.  A full queue
-rejects new work immediately with a 429-style
+answer stream replayed through a standalone session).  A full queue rejects
+new work immediately with a 429-style
 :class:`~repro.service.api.SessionOverloadedError` — fail-fast backpressure
-instead of unbounded backlog.  Consecutive queued merges for one session are
-drained in a single executor hop (request batching), which is what keeps
-merge throughput flat as tenants get chattier.
+instead of unbounded backlog.
+
+Where a job computes depends on how much work it is
+(:meth:`RefinementService._runs_inline`).  A job that costs about what
+handing it to a thread and back costs selects, merges or builds a posterior
+inline on the event loop.  Every other job hops to a small thread pool, so a
+long computation never holds up the other tenants' requests.  Consecutive
+queued merges for one session run as one batch, in one hop when they hop.
+Snapshot writes of a durable service always run on the thread pool, so no
+fsync stalls the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,6 +46,7 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.runtime import RuntimeOptions
+from repro.core.selection import ParallelSelectorMixin
 from repro.service.api import (
     BudgetExhaustedError,
     DeadlineExceededError,
@@ -59,8 +67,22 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.registry import SessionRecord, SessionRegistry
 from repro.testing import faults
 
+_LOGGER = logging.getLogger("repro.service")
+
 #: Default bound of a session's pending-request queue.
 DEFAULT_MAX_PENDING = 8
+
+#: The most work a job may do inline on the event loop, in support cells as
+#: ``RefinementService._runs_inline`` counts them; a job of this size takes
+#: about as long as the hop to an executor thread and back.  A paper-size
+#: book (at most 2048 rows × 11 facts) merges, builds its posterior and
+#: selects up to 3 tasks inline.
+_INLINE_WORK = 1 << 16
+
+#: A session wider than one ``int64`` mask column always hops: past it the
+#: per-fact costs outgrow the support (a 32-row × 2000-fact posterior build
+#: takes 12 ms).
+_INLINE_MAX_FACTS = 63
 
 
 def _deadline_from_ms(deadline_ms: Optional[int]) -> Optional[float]:
@@ -78,7 +100,7 @@ def _deadline_from_ms(deadline_ms: Optional[int]) -> Optional[float]:
 class _Job:
     """One queued request: what to do, its input, and where the answer goes."""
 
-    kind: str  # "merge" | "select" | "posterior" | "stop"
+    kind: str  # "merge" | "select" | "posterior" | "snapshot" | "evict" | "stop"
     payload: Any
     future: "Optional[asyncio.Future]"
     #: Absolute ``time.monotonic()`` instant after which the job must not
@@ -164,38 +186,39 @@ class _SessionWorker:
                 job.future.set_exception(error)
 
     async def _drain(self) -> None:
-        stopping = False
-        while not stopping:
-            job = await self.queue.get()
+        carry: Optional[_Job] = None
+        while True:
+            job = carry if carry is not None else await self.queue.get()
+            carry = None
             if job.kind == "stop":
                 break
             if job.kind == "merge":
-                # Batch every consecutively queued merge into one executor
-                # hop; a non-merge job ends the batch and runs right after.
+                # Batch every consecutively queued merge; the first other job
+                # ends the batch and is handled right after it.
                 batch = [job]
-                carry: Optional[_Job] = None
                 while True:
                     try:
                         pending = self.queue.get_nowait()
                     except asyncio.QueueEmpty:
                         break
-                    if pending.kind == "stop":
-                        stopping = True
-                        break
-                    if pending.kind == "merge":
-                        batch.append(pending)
-                    else:
+                    if pending.kind != "merge":
                         carry = pending
                         break
+                    batch.append(pending)
                 await self._service._run_merge_batch(self.record, batch)
-                if carry is not None:
-                    await self._service._run_job(self.record, carry)
+            elif job.kind == "evict":
+                if await self._service._run_eviction(self, job):
+                    break
             else:
                 await self._service._run_job(self.record, job)
 
 
 class RefinementService:
     """Async multi-tenant refinement sessions on shared persistent pools.
+
+    One event loop serves every tenant.  A small job runs on it directly; a
+    larger one computes on an executor thread while the loop serves the
+    other tenants (:meth:`_runs_inline`).
 
     Parameters
     ----------
@@ -204,7 +227,7 @@ class RefinementService:
         runtime.  When it carries workers, the service builds ``pools``
         shared :class:`~repro.core.selection.parallel.EvaluatorPool`
         instances and multiplexes every session onto them; without workers
-        all scans run serially on the executor threads.
+        every scan runs serially, inline or on the executor threads.
         ``recalibrate`` and ``parallel_entities`` are rejected
         with :class:`~repro.service.api.ValidationFailedError`: the service
         runtime does not implement them, and silently ignoring them would
@@ -216,15 +239,17 @@ class RefinementService:
     max_pending:
         Per-session queue bound; the 429 threshold.
     executor_workers:
-        Threads for compute offload.  Defaults to ``pools + 4`` so distinct
-        tenants' scans and merges overlap without unbounded thread growth.
+        Threads for the jobs that leave the event loop: every scan, merge
+        and posterior build too large to run inline, and every snapshot
+        write.  Defaults to ``pools + 4`` so distinct tenants' large jobs
+        overlap without unbounded thread growth.
     state_dir:
         Directory for durable session snapshots.  With it set, every
-        session's posterior/channel/budget state is snapshotted (debounced
-        after merges, unconditionally on eviction and shutdown) and a
-        restarted service transparently revives sessions on their next
-        request — ``get_posterior`` after a restart matches the pre-restart
-        posterior to within float-serialisation exactness.
+        session's posterior/channel/budget state is snapshotted (at
+        creation, debounced after merges, unconditionally on eviction and
+        shutdown) and a restarted service transparently revives sessions on
+        their next request — ``get_posterior`` after a restart matches the
+        pre-restart posterior to within float-serialisation exactness.
     max_sessions:
         LRU cap on resident sessions (requires ``state_dir``): creating or
         reviving past the cap evicts the least-recently-used idle session to
@@ -338,19 +363,43 @@ class RefinementService:
                 await self._evict_session(session_id)
 
     async def _evict_session(self, session_id: str) -> bool:
-        """Evict one idle session to disk; refuses sessions with queued work."""
-        worker = self._workers.get(session_id)
-        if worker is not None:
-            if worker.closed or not worker.queue.empty():
-                return False
-            await worker.stop()
-            # Anything that raced into existence between the emptiness check
-            # and the stop was answered by the drainer before it ended.
-            self._workers.pop(session_id, None)
-        if self._registry.peek(session_id) is None:
+        """Evict one idle session to disk; refuses sessions with queued work.
+
+        The session's own drainer writes the snapshot and retires the session
+        (:meth:`_run_eviction`), so the eviction never overlaps the session's
+        jobs and its queue stays open while the snapshot is written.
+        """
+        record = self._registry.peek(session_id)
+        if record is None:
             return False
-        self._registry.evict(session_id)
-        return True
+        worker = self._drainer(record)
+        if worker.closed or not worker.queue.empty():
+            return False
+        return await worker.submit("evict", None)
+
+    async def _run_eviction(self, worker: _SessionWorker, job: _Job) -> bool:
+        """The drainer's eviction job: store the session, then retire it if idle.
+
+        A request that queued while the snapshot was written keeps the
+        session resident, and the drainer serves it as usual.  Otherwise the
+        drainer closes and the session leaves the registry in the same loop
+        turn, so no request ever meets a closing drainer: a later one revives
+        the session from disk.
+        """
+        try:
+            await self._write_snapshot(worker.record)
+        except Exception as error:
+            if not job.future.done():
+                job.future.set_exception(error)
+            return False
+        retired = not worker.closed and worker.queue.empty()
+        if retired:
+            worker.closed = True
+            self._workers.pop(worker.record.session_id, None)
+            self._registry.evict(worker.record.session_id)
+        if not job.future.done():
+            job.future.set_result(retired)
+        return retired
 
     # -- the session API ---------------------------------------------------------------
 
@@ -373,9 +422,11 @@ class RefinementService:
                     "could be evicted; retry later"
                 )
         record = self._registry.create(distribution, channel, budget, selector)
-        self._workers[record.session_id] = _SessionWorker(
-            self, record, self._max_pending
-        )
+        worker = self._drainer(record)
+        if self._registry.durable:
+            # Durable from birth: a crash before the first merge must not lose
+            # the session's existence (prior, budget, selector).
+            await worker.submit("snapshot", None)
         self._metrics.sessions_created += 1
         return SessionCreated(
             session_id=record.session_id,
@@ -469,16 +520,21 @@ class RefinementService:
         self._ensure_open()
         # Raises UnknownSessionError for sessions that never existed; revives
         # evicted/restarted sessions from their disk snapshot.
-        record = self._registry.get(session_id)
-        worker = self._workers.get(session_id)
+        return self._drainer(self._registry.get(session_id))
+
+    def _drainer(self, record: SessionRecord) -> _SessionWorker:
+        """The live record's drainer, built on first use.
+
+        A live record has no drainer when it was just created or revived
+        from disk (eviction pops the worker with no awaits between the pop
+        and the registry removal, so a *closing* session can never be
+        observed in this state).
+        """
+        worker = self._workers.get(record.session_id)
         if worker is None:
-            # No drainer for a live record: the session was just revived from
-            # disk (eviction pops the worker with no awaits between the pop
-            # and the registry removal, so a *closing* session can never be
-            # observed in this state).  Build it a fresh drainer.
             self._ensure_housekeeper()
             worker = _SessionWorker(self, record, self._max_pending)
-            self._workers[session_id] = worker
+            self._workers[record.session_id] = worker
         return worker
 
     def _validate_answers(self, record: SessionRecord, answers: AnswerSet) -> None:
@@ -495,9 +551,9 @@ class RefinementService:
         """Validate, charge and merge a batch of queued answer sets.
 
         Validation and budget charging stay per request (a bad tenant batch
-        fails alone); the accepted merges execute back to back in a single
-        executor hop, which is the batching that keeps merge throughput flat
-        under chatty tenants.
+        fails alone); the accepted merges execute back to back, inline or in
+        a single executor hop (:meth:`_execute`).  A snapshot that falls due
+        is written on the executor before the batch is answered.
         """
         accepted: List[_Job] = []
         for job in jobs:
@@ -534,38 +590,39 @@ class RefinementService:
             # One merge per step with progress recorded after each, so a
             # failure partway through the batch tells the caller exactly
             # which merges applied, which job failed, and which never ran.
-            try:
-                for job in accepted:
-                    faults.fire("merge")
-                    session.merge(job.payload)
-                    completed.append(
-                        MergeReport(
-                            session_id=record.session_id,
-                            rounds_merged=session.rounds_merged,
-                            answers_merged=len(job.payload),
-                            budget_remaining=record.remaining,
-                            utility=session.utility(),
-                        )
+            for job in accepted:
+                faults.fire("merge")
+                session.merge(job.payload)
+                completed.append(
+                    MergeReport(
+                        session_id=record.session_id,
+                        rounds_merged=session.rounds_merged,
+                        answers_merged=len(job.payload),
+                        budget_remaining=record.remaining,
+                        utility=session.utility(),
                     )
-            finally:
-                # Snapshot the post-merge state (debounced) while still on
-                # the executor thread — durability I/O never blocks the
-                # event loop, and a partly-failed batch snapshots whatever
-                # actually merged.
-                if completed:
-                    self._registry.note_merged(record)
+                )
 
         started = time.perf_counter()
         failure: Optional[BaseException] = None
         try:
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor, merge_all
-            )
+            await self._execute(record, merge_all, None, "merge", len(accepted))
         except Exception as error:
             failure = error
         elapsed = time.perf_counter() - started
 
         record.invalidate_caches()
+        if completed and self._registry.note_merged(record):
+            # A partly-failed batch snapshots whatever actually merged.  A
+            # failed write leaves the record dirty for the next snapshot; the
+            # merges applied regardless, so their replies stand.
+            try:
+                await self._write_snapshot(record)
+            except Exception:
+                self._metrics.errors += 1
+                _LOGGER.exception(
+                    "snapshot of session %s failed after a merge", record.session_id
+                )
         done = len(completed)
         if done:
             self._metrics.merge_batches += 1
@@ -612,6 +669,8 @@ class RefinementService:
                 result: Any = await self._run_select(record, job.payload, job)
             elif job.kind == "posterior":
                 result = await self._run_posterior(record, job)
+            elif job.kind == "snapshot":
+                result = await self._write_snapshot(record)
             else:  # pragma: no cover - defensive: unknown kinds cannot be queued
                 raise ServiceError(f"unknown request kind {job.kind!r}")
         except Exception as error:
@@ -628,13 +687,63 @@ class RefinementService:
         if not job.future.done():
             job.future.set_result(result)
 
+    def _runs_inline(self, record: SessionRecord, kind: str, size: int) -> bool:
+        """Whether one job of ``record`` computes on the event loop.
+
+        It does when its work stays below ``_INLINE_WORK`` support cells.  A
+        posterior build touches each of the support's rows × facts cells
+        about once, and a batch of ``size`` merges once per merge.  A select
+        of ``size`` tasks by the engine-backed greedy family makes one scan
+        per task: step ``s`` scores the ``facts − s`` remaining candidates,
+        each over the support's rows or over its answer table of ``2^s``
+        cells, which the channel transform passes over ``s`` times, whichever
+        is larger.  Every other selector (an exhaustive or a pure-Python
+        scan) hops, and so does every job of a session past
+        ``_INLINE_MAX_FACTS`` or on a shared pool, whose scans can block on
+        worker I/O and rebuilds.
+        """
+        session = record.session
+        facts = session.num_facts
+        if session.parallel_policy is not None or facts > _INLINE_MAX_FACTS:
+            return False
+        rows = len(session.engine.probabilities)
+        if kind != "select":
+            work = rows * facts * size
+        elif isinstance(record.selector, ParallelSelectorMixin):
+            work = sum(
+                (facts - step) * max(rows, (step + 1) << step)
+                for step in range(size)
+            )
+        else:
+            return False
+        return work < _INLINE_WORK
+
+    async def _execute(
+        self, record: SessionRecord, call, job: Optional[_Job], kind: str, size: int = 1
+    ):
+        """Run one job's computation inline when it is small, else :meth:`_hop`.
+
+        ``size`` is a select's ``k`` or a batch's merge count (see
+        :meth:`_runs_inline`).  An inline job checks its deadline only before
+        it starts (in the drainer); a hopped one is also bounded
+        mid-computation.
+        """
+        if self._runs_inline(record, kind, size):
+            return call()
+        return await self._hop(call, job, kind)
+
+    async def _write_snapshot(self, record: SessionRecord) -> None:
+        """Write ``record``'s snapshot on the executor (never on the loop)."""
+        await self._hop(lambda: self._registry.snapshot(record), None, "snapshot")
+
     async def _hop(self, call, job: Optional[_Job], kind: str):
         """Run ``call`` on the executor, bounded by the job's deadline.
 
-        Only used for *read-only* work (selection scans, posterior builds):
-        on timeout the executor thread finishes on its own and its result is
-        discarded — no cache is written, no session state has changed, so the
-        raised :class:`DeadlineExceededError` is honestly retry-safe.
+        Deadlines are only given for *read-only* work (selection scans,
+        posterior builds): on timeout the executor thread finishes on its own
+        and its result is discarded — no cache is written, no session state
+        has changed, so the raised :class:`DeadlineExceededError` is honestly
+        retry-safe.  Merges and snapshot writes hop without one.
         """
         loop = asyncio.get_running_loop()
         remaining = job.remaining() if job is not None else None
@@ -679,7 +788,7 @@ class RefinementService:
             return selector.select_with_session(session, k)
 
         started = time.perf_counter()
-        selection = await self._hop(scan, job, "select")
+        selection = await self._execute(record, scan, job, "select", k)
         self._metrics.selection_latency.record(time.perf_counter() - started)
         self._metrics.selections += 1
         reply = SelectionReply(
@@ -714,6 +823,6 @@ class RefinementService:
                 rounds_merged=session.rounds_merged,
             )
 
-        view = await self._hop(build, job, "posterior")
+        view = await self._execute(record, build, job, "posterior")
         record.posterior_cache[key] = view
         return view

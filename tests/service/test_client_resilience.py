@@ -21,6 +21,7 @@ from repro.service import (
     ServiceClient,
     TransportError,
     serve,
+    server,
 )
 from repro.service.transport import bound_port
 from repro.testing import faults
@@ -141,7 +142,9 @@ def test_no_retry_policy_disables_transparent_reconnect_retries():
     run(_with_server(scenario))
 
 
-def test_retry_safe_errors_are_retried_with_backoff_until_exhausted():
+def test_retry_safe_errors_are_retried_with_backoff_until_exhausted(monkeypatch):
+    monkeypatch.setattr(server, "_INLINE_WORK", 0)
+
     async def scenario(service, port):
         prior = dense_distribution(6, 48, seed=53)
         client = await ServiceClient.connect(

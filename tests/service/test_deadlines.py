@@ -2,8 +2,11 @@
 
 ``deadline_ms`` is enforced only at *retry-safe* points: a job whose budget
 lapses while queued fails before anything was validated or charged, and a
-read-only scan abandoned mid-computation discards its result without
-touching any cache.  Merges that have started are never aborted.  Every
+read-only scan that hopped to the executor and is abandoned mid-computation
+discards its result without touching any cache.  A small session's job runs
+inline on the event loop, so its deadline is checked only before it starts;
+the tests that stall a scan mid-computation force the hop by patching
+``_INLINE_WORK`` to 0.  Merges that have started are never aborted.  Every
 deadline failure is a typed :class:`DeadlineExceededError` whose
 ``retry_safe`` flag survives the wire codecs, and every hit lands in the
 ``recovery.deadline_hits`` metric.
@@ -14,7 +17,7 @@ import asyncio
 import pytest
 
 from repro.core.crowd import CrowdModel
-from repro.service import DeadlineExceededError, RefinementService
+from repro.service import DeadlineExceededError, RefinementService, server
 from repro.service.api import (
     ServiceError,
     ValidationFailedError,
@@ -57,7 +60,11 @@ def test_deadline_ms_must_be_positive():
     run(_with_service(scenario))
 
 
-def test_select_deadline_expires_mid_computation_without_writing_the_cache():
+def test_select_deadline_expires_mid_computation_without_writing_the_cache(
+    monkeypatch,
+):
+    monkeypatch.setattr(server, "_INLINE_WORK", 0)
+
     async def scenario(service):
         prior = dense_distribution(6, 48, seed=41)
         created = await service.create_session(prior, CrowdModel(0.8), budget=6)
@@ -81,7 +88,9 @@ def test_select_deadline_expires_mid_computation_without_writing_the_cache():
     run(_with_service(scenario))
 
 
-def test_queued_jobs_expire_retry_safe_before_any_charge():
+def test_queued_jobs_expire_retry_safe_before_any_charge(monkeypatch):
+    monkeypatch.setattr(server, "_INLINE_WORK", 0)
+
     async def scenario(service):
         prior = dense_distribution(6, 48, seed=42)
         created = await service.create_session(prior, CrowdModel(0.8), budget=6)
@@ -119,6 +128,24 @@ def test_queued_jobs_expire_retry_safe_before_any_charge():
         assert report.rounds_merged == 1
         closed = await service.close_session(created.session_id)
         assert closed.budget_spent == len(answers)
+
+    run(_with_service(scenario))
+
+
+def test_an_inline_job_checks_its_deadline_only_before_it_starts():
+    async def scenario(service):
+        prior = dense_distribution(6, 48, seed=44)
+        created = await service.create_session(prior, CrowdModel(0.8), budget=6)
+
+        # The scan outlives its deadline, but it runs on the event loop, so
+        # nothing can interrupt it: the select answers normally and fills
+        # the cache.
+        with faults.injected(FaultPlan(delay_select_seconds=0.3)):
+            reply = await service.select_next(created.session_id, deadline_ms=50)
+        assert reply.task_ids and not reply.cached
+        assert service.metrics()["recovery"]["deadline_hits"] == 0
+        again = await service.select_next(created.session_id)
+        assert again.cached and again.task_ids == reply.task_ids
 
     run(_with_service(scenario))
 

@@ -10,12 +10,14 @@ nothing resurrects.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.core.crowd import CrowdModel, PerFactChannelModel
-from repro.service import RefinementService
+from repro.service import RefinementService, persistence
 from repro.service.api import (
+    SessionOverloadedError,
     UnknownSessionError,
     ValidationFailedError,
 )
@@ -186,11 +188,123 @@ class TestEviction:
 
         run(scenario())
 
+    def test_a_request_during_an_eviction_flush_is_answered_normally(
+        self, tmp_path, monkeypatch
+    ):
+        # The session's drainer writes the eviction snapshot with the queue
+        # still open: a request that lands meanwhile is served as usual, and
+        # the session stays resident instead of leaving under it.
+        write = persistence.atomic_write_json
+        writing, release = threading.Event(), threading.Event()
+
+        def gated(path, payload):
+            writing.set()
+            release.wait(5.0)
+            write(path, payload)
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                monkeypatch.setattr(persistence, "atomic_write_json", gated)
+                # The cap evicts ``first`` to make room; its flush blocks.
+                second = asyncio.ensure_future(
+                    service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                )
+                while not writing.is_set():
+                    await asyncio.sleep(0.001)
+                select = asyncio.ensure_future(service.select_next(first.session_id))
+                await asyncio.sleep(0)  # the select queues behind the flush
+                release.set()
+                reply = await select
+                assert reply.task_ids and not reply.cached
+                with pytest.raises(SessionOverloadedError):
+                    await second
+                assert service.session_ids() == (first.session_id,)
+                assert service.metrics()["durability"]["evictions"] == 0
+
+        run(scenario())
+
     def test_eviction_requires_state_dir(self):
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
             SessionRegistry(EngineGroup(None), max_sessions=4)
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
             SessionRegistry(EngineGroup(None), idle_ttl_s=5.0)
+
+
+class TestSnapshotWrites:
+    def test_no_snapshot_write_runs_on_the_event_loop(self, tmp_path, monkeypatch):
+        # Each write fsyncs, and a write on the loop thread stalls every
+        # tenant for that long: creates, due post-merge snapshots and
+        # evictions all write on the executor.
+        writers = []
+        write = persistence.atomic_write_json
+
+        def spy(path, payload):
+            writers.append(threading.get_ident())
+            write(path, payload)
+
+        monkeypatch.setattr(persistence, "atomic_write_json", spy)
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"),
+                max_sessions=1,
+                snapshot_debounce_s=0.0,
+            ) as service:
+                loop_thread = threading.get_ident()
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.post_answers(first.session_id, {"f1": True})
+                await service.post_answers(first.session_id, {"f2": False})
+                # The cap evicts ``first`` to disk to make room.
+                await service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                durability = service.metrics()["durability"]
+                return loop_thread, list(writers), durability
+
+        loop_thread, seen, durability = run(scenario())
+        # Create, two merges, the eviction's flush, the second create.
+        assert len(seen) == durability["snapshots_written"] == 5
+        assert durability["evictions"] == 1
+        assert loop_thread not in seen
+
+    def test_a_failed_snapshot_after_a_merge_keeps_the_session_serving(
+        self, tmp_path, monkeypatch
+    ):
+        write = persistence.atomic_write_json
+
+        def full_disk(path, payload):
+            raise OSError("no space left on device")
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), snapshot_debounce_s=0.0
+            ) as service:
+                created = await service.create_session(
+                    make_prior(), CrowdModel(0.8), budget=6
+                )
+                monkeypatch.setattr(persistence, "atomic_write_json", full_disk)
+                # The merge applied, so its reply stands; the failed write
+                # is counted and the session stays dirty.
+                first = await service.post_answers(created.session_id, {"f1": True})
+                assert first.rounds_merged == 1
+                assert service.metrics()["errors"] == 1
+                monkeypatch.setattr(persistence, "atomic_write_json", write)
+                second = await service.post_answers(created.session_id, {"f2": False})
+                assert second.rounds_merged == 2
+                return created.session_id
+
+        session_id = run(scenario())
+
+        async def after():
+            async with RefinementService(state_dir=str(tmp_path / "state")) as service:
+                return await service.get_posterior(session_id)
+
+        assert run(after()).rounds_merged == 2
 
 
 class TestSnapshotStore:

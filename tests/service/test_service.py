@@ -18,7 +18,7 @@ from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import RefinementSession, get_selector
 from repro.core.selection.parallel import fork_available
-from repro.service import RefinementService
+from repro.service import RefinementService, server
 from repro.service.api import (
     BudgetExhaustedError,
     ServiceError,
@@ -305,7 +305,9 @@ class TestFaultIsolation:
 
 
 class TestBackpressure:
-    def test_full_queue_fails_fast_with_429(self):
+    def test_full_queue_fails_fast_with_429(self, monkeypatch):
+        monkeypatch.setattr(server, "_INLINE_WORK", 0)
+
         async def scenario():
             service = RefinementService(max_pending=1, executor_workers=1)
             async with service:
