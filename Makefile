@@ -36,7 +36,6 @@ bench-smoke:
 		tests/core/selection/test_persistent_pool.py \
 		tests/core/selection/test_multiplex.py \
 		tests/evaluation/test_parallel_entities.py \
-		tests/service/test_shared_pool.py \
 		tests/test_cli.py
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "parallel and not slow" \
 		benchmarks/bench_selection_hotpath.py -k session_pool_smoke
@@ -63,7 +62,7 @@ engine-smoke:
 	$(PYTEST) -q benchmarks/bench_wide_facts.py
 
 # The fault-injection chaos suite: worker kills mid-scan, hung dispatches,
-# corrupted generation headers, merge crashes mid-batch, dropped client
+# corrupted generation headers, a merge crash that fails alone, dropped client
 # connections — each asserting the runtime recovers to a trajectory
 # bit-identical to an undisturbed run, degrades gracefully past the circuit
 # breaker, and leaks no worker processes or /dev/shm segments.  Parallel
@@ -86,13 +85,12 @@ orchestrate-smoke:
 # Boots a real refinement-service server on a loopback port, drives one full
 # create → select → post → posterior → close round-trip through the JSON
 # client, and asserts that no worker processes leaked.  Then the service
-# suites with the pool paths forced on (placement of inline and hopped jobs,
-# deadlines, durability, the head-of-line test) and the service chaos cases.
+# suites (placement of inline and hopped jobs, deadlines, durability, the
+# head-of-line test) and the service chaos cases.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.service.smoke
-	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q tests/service
-	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m chaos \
-		tests/chaos/test_service_chaos.py
+	$(PYTEST) -q tests/service
+	$(PYTEST) -q -m chaos tests/chaos/test_service_chaos.py
 
 # Runs one sweep on the single-host durable orchestrator and again on the
 # lease-fenced cluster coordinator with two loopback shard workers — one

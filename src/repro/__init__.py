@@ -56,7 +56,6 @@ from repro.orchestration import (
 from repro.service import (
     NO_RETRY,
     DeadlineExceededError,
-    MergeAbortedError,
     RefinementService,
     RetryPolicy,
     ServiceClient,
@@ -65,7 +64,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "4.3.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # value types
@@ -94,7 +93,6 @@ __all__ = [
     "RuntimeOptions",
     # the refinement service
     "DeadlineExceededError",
-    "MergeAbortedError",
     "NO_RETRY",
     "RefinementService",
     "RetryPolicy",

@@ -8,7 +8,7 @@ Five subcommands cover the common workflows without writing any Python:
 * ``crowdfusion experiment`` — run a budgeted crowd-refinement experiment and
   print the quality-vs-cost curve;
 * ``crowdfusion serve`` — run the multi-tenant refinement service (sessions
-  over a JSON-lines TCP API, shared persistent worker pools);
+  over a JSON-lines TCP API);
 * ``crowdfusion timing`` — measure one-round selection times (Table V style).
 
 Every batch command is deterministic given ``--seed``.
@@ -393,31 +393,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import RefinementService
     from repro.service.transport import bound_port, serve
 
-    try:
-        runtime = RuntimeOptions(
-            workers=args.workers,
-            parallel_threshold=args.parallel_threshold,
-            dispatch_timeout_ms=args.dispatch_timeout_ms,
-            max_rebuilds=args.max_rebuilds,
-        )
-    except CrowdFusionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
     async def run() -> None:
         service = RefinementService(
-            runtime,
-            pools=args.pools,
             max_pending=args.max_pending,
             state_dir=args.state_dir,
             max_sessions=args.max_sessions,
             idle_ttl_s=args.idle_ttl_s,
         )
         server = await serve(service, host=args.host, port=args.port)
-        workers = f", {args.workers} workers x {args.pools} pools" if args.workers else ""
         print(
             f"refinement service listening on {args.host}:{bound_port(server)}"
-            f"{workers} (Ctrl-C to stop)"
+            " (Ctrl-C to stop)"
         )
         try:
             await server.serve_forever()
@@ -563,33 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="listen address")
     serve.add_argument("--port", type=int, default=8642,
                        help="listen port (0 picks a free port)")
-    serve.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="shard tenants' candidate scans over N worker processes per "
-        "shared pool (default: serial scans)",
-    )
-    serve.add_argument(
-        "--parallel-threshold", type=_nonnegative_int, default=None, metavar="WORK",
-        help="minimum scan size (candidates x support rows) before a shared "
-        "pool is used; smaller scans always run serially",
-    )
-    serve.add_argument(
-        "--pools", type=_positive_int, default=1, metavar="N",
-        help="number of shared evaluator pools tenants are multiplexed onto "
-        "(resident processes = pools x workers, independent of session count)",
-    )
-    serve.add_argument(
-        "--dispatch-timeout-ms", type=_positive_int, default=None, metavar="MS",
-        help="wall-clock budget for one parallel dispatch before the pool "
-        "supervisor declares it hung and rebuilds the pool (default: no "
-        "timeout)",
-    )
-    serve.add_argument(
-        "--max-rebuilds", type=_nonnegative_int, default=2, metavar="N",
-        help="consecutive crashed dispatches the pool supervisor absorbs "
-        "before the circuit breaker degrades the pool to serial scans "
-        "(default: 2)",
-    )
     serve.add_argument(
         "--max-pending", type=_positive_int, default=8, metavar="N",
         help="per-session request-queue bound; further requests fail fast "

@@ -4,10 +4,8 @@ The paper's pay-as-you-go loop is interactive — a requester posts crowd
 answers and asks "which tasks next?" under a running budget — and this
 package exposes exactly that loop as a long-running service.  Sessions are
 addressable resources backed by the persistent
-:class:`~repro.core.selection.session.RefinementSession` runtime, and many
-tenants' candidate scans are multiplexed onto a small, fixed set of shared
-:class:`~repro.core.selection.parallel.EvaluatorPool` worker pools instead
-of one pool per tenant.
+:class:`~repro.core.selection.session.RefinementSession` runtime, and every
+request is one job on its session's queue.
 
 Layers (each importable on its own):
 
@@ -15,7 +13,7 @@ Layers (each importable on its own):
   service error hierarchy and the JSON wire codecs;
 * :mod:`repro.service.registry` — session bookkeeping on a
   :class:`~repro.core.selection.session.SessionPool`;
-* :mod:`repro.service.batching` — the shared evaluator-pool group;
+* :mod:`repro.service.persistence` — durable session snapshots;
 * :mod:`repro.service.metrics` — counters and latency percentiles;
 * :mod:`repro.service.server` — the asyncio :class:`RefinementService`;
 * :mod:`repro.service.transport` — a JSON-lines TCP front end;
@@ -25,7 +23,6 @@ Layers (each importable on its own):
 from repro.service.api import (
     BudgetExhaustedError,
     DeadlineExceededError,
-    MergeAbortedError,
     MergeReport,
     PosteriorView,
     SelectionReply,
@@ -43,7 +40,6 @@ from repro.service.transport import TransportError, serve
 __all__ = [
     "BudgetExhaustedError",
     "DeadlineExceededError",
-    "MergeAbortedError",
     "MergeReport",
     "NO_RETRY",
     "PosteriorView",

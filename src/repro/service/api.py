@@ -87,7 +87,8 @@ class SessionOverloadedError(ServiceError):
 
     The 429 of the service: per-tenant backpressure rejects new work
     *immediately* instead of letting one chatty tenant grow an unbounded
-    backlog that starves every other tenant of the shared worker pools.
+    backlog that starves every other tenant of the event loop and the
+    executor threads.
     Retry-safe by construction — the rejected request was never queued.
     """
 
@@ -125,20 +126,6 @@ class DeadlineExceededError(ServiceError):
     retry_safe = True
 
 
-class MergeAbortedError(ServiceError):
-    """A queued merge never ran because an earlier merge in its batch failed.
-
-    Its budget charge has been refunded and the posterior is exactly as if
-    the request had never been sent — the retry-safe sibling of the
-    *failed* merge (which stays a plain non-retry-safe ``service_error``:
-    its session state is indeterminate).
-    """
-
-    code = "merge_aborted"
-    status = 503
-    retry_safe = True
-
-
 #: ``code → exception class`` — how the client re-raises a wire error.
 ERROR_TYPES: Dict[str, Type[ServiceError]] = {
     cls.code: cls
@@ -149,7 +136,6 @@ ERROR_TYPES: Dict[str, Type[ServiceError]] = {
         BudgetExhaustedError,
         ValidationFailedError,
         DeadlineExceededError,
-        MergeAbortedError,
     )
 }
 

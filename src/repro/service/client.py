@@ -7,10 +7,10 @@ code handles a remote service exactly like an in-process
 
 Resilience model (:class:`RetryPolicy`):
 
-* **Server-declared retry-safe errors** — overload (429), queued-deadline
-  expiry (504), aborted-and-refunded merges (503) — are retried for *every*
-  operation with exponential backoff plus jitter: the server has promised no
-  state changed, so resending cannot double-merge.
+* **Server-declared retry-safe errors** — overload (429) and deadline
+  expiry (504) — are retried for *every* operation with exponential backoff
+  plus jitter: the server has promised no state changed, so resending cannot
+  double-merge.
 * **Transport failures** (connection reset, EOF mid-response, torn line) are
   wrapped in :class:`~repro.service.transport.TransportError` with the
   session id attached.  They carry *no* such promise — the request may have

@@ -3,9 +3,9 @@
 Plain in-process counters plus bounded latency reservoirs — enough to answer
 the operational questions a multi-tenant deployment actually asks (how many
 sessions are live, how fast are merges draining, what does tail selection
-latency look like, are the shared pools earning their residency) without any
-external dependency.  :meth:`ServiceMetrics.snapshot` is the payload of the
-service's metrics endpoint.
+latency look like) without any external dependency.
+:meth:`ServiceMetrics.snapshot` is the payload of the service's metrics
+endpoint.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class ServiceMetrics:
         self.sessions_closed = 0
         self.merges = 0
         self.answers_merged = 0
-        self.merge_batches = 0
         self.selections = 0
         self.selection_cache_hits = 0
         self.posterior_cache_hits = 0
@@ -91,15 +90,13 @@ class ServiceMetrics:
         uptime = self.uptime_seconds()
         return self.merges / uptime if uptime > 0 else 0.0
 
-    def snapshot(
-        self,
-        pools: Optional[Dict[str, Any]] = None,
-        recovery: Optional[Dict[str, int]] = None,
-        durability: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """The metrics-endpoint payload (pool utilisation and crash/recovery
-        counters spliced in by the server, which owns the evaluator-pool
-        group)."""
+    def snapshot(self, durability: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """The metrics-endpoint payload.
+
+        ``merges.batches`` (always ``merges.count``: every merge is its own
+        job) and the ``recovery`` pool keys (always 0: the service runs no
+        worker pool) stay only because the repository benchmark reads them.
+        """
         payload: Dict[str, Any] = {
             "uptime_seconds": round(self.uptime_seconds(), 3),
             "sessions": {
@@ -110,7 +107,7 @@ class ServiceMetrics:
             "merges": {
                 "count": self.merges,
                 "answers": self.answers_merged,
-                "batches": self.merge_batches,
+                "batches": self.merges,
                 "per_second": round(self.merges_per_second(), 3),
                 "latency": self.merge_latency.snapshot(),
             },
@@ -126,13 +123,10 @@ class ServiceMetrics:
                 "worker_crashes": 0,
                 "pool_rebuilds": 0,
                 "breaker_trips": 0,
-                **(recovery or {}),
                 "deadline_hits": self.deadline_hits,
                 "client_retries": self.client_retries,
             },
         }
-        if pools is not None:
-            payload["pools"] = pools
         if durability is not None:
             # Snapshot/eviction/revival counters, spliced in by the server
             # when the registry runs with a durable snapshot store.

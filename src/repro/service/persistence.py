@@ -14,12 +14,14 @@ reproduces every marginal to within float-serialisation exactness.
 from __future__ import annotations
 
 import os
+import re
 from typing import Any, Dict, List, Optional
 
 from repro.core.crowd import ChannelModel
 from repro.core.selection.session import RefinementSession
 from repro.orchestration.journal import atomic_write_json, read_json
 from repro.service.api import (
+    UnknownSessionError,
     ValidationFailedError,
     decode_channel,
     decode_distribution,
@@ -30,6 +32,11 @@ from repro.service.api import (
 #: Snapshot schema version (bumped on incompatible payload changes).
 SNAPSHOT_VERSION = 1
 
+#: The form of every id the registry hands out.  An id of any other form
+#: names no session, so a client's id never reaches a path outside the
+#: directory.
+_SESSION_ID = re.compile(r"s-[0-9]+")
+
 
 class SessionSnapshotStore:
     """One JSON snapshot file per session, written atomically."""
@@ -39,7 +46,13 @@ class SessionSnapshotStore:
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, session_id: str) -> str:
+        if not _SESSION_ID.fullmatch(session_id):
+            raise UnknownSessionError(f"no session {session_id!r}")
         return os.path.join(self.directory, f"{session_id}.json")
+
+    def exists(self, session_id: str) -> bool:
+        """Whether ``session_id`` has a snapshot on disk."""
+        return os.path.exists(self._path(session_id))
 
     def save(
         self,
@@ -89,7 +102,7 @@ class SessionSnapshotStore:
         return sorted(
             name[: -len(".json")]
             for name in os.listdir(self.directory)
-            if name.endswith(".json")
+            if name.endswith(".json") and _SESSION_ID.fullmatch(name[: -len(".json")])
         )
 
 

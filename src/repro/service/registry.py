@@ -26,7 +26,6 @@ from repro.service.api import (
     UnknownSessionError,
     ValidationFailedError,
 )
-from repro.service.batching import EngineGroup
 
 #: Generation key of a cached response: ``(reweights, channel_swaps)`` of the
 #: session's engine.  Both counters only ever grow, and between them they
@@ -106,7 +105,6 @@ class SessionRegistry:
 
     def __init__(
         self,
-        group: EngineGroup,
         snapshot_dir: Optional[str] = None,
         max_sessions: Optional[int] = None,
         idle_ttl_s: Optional[float] = None,
@@ -126,7 +124,6 @@ class SessionRegistry:
                 "evicting sessions without durable snapshots would drop "
                 "tenant state"
             )
-        self._group = group
         self._pool = SessionPool()
         self._records: Dict[str, SessionRecord] = {}
         self.max_sessions = max_sessions
@@ -153,11 +150,7 @@ class SessionRegistry:
             self.counters["restored_available"] = len(stored)
             # Resume the id counter past every stored session so revived and
             # fresh sessions can never collide.
-            for session_id in stored:
-                try:
-                    start_id = max(start_id, int(session_id.split("-")[-1]) + 1)
-                except ValueError:
-                    continue
+            start_id += max((int(session_id[2:]) for session_id in stored), default=0)
         self._ids = itertools.count(start_id)
 
     def __len__(self) -> int:
@@ -170,7 +163,7 @@ class SessionRegistry:
         budget: int,
         selector: str = "greedy_prune_pre",
     ) -> SessionRecord:
-        """Register a new session attached to one of the shared pools."""
+        """Register a new session under a fresh id."""
         if budget <= 0:
             raise ValidationFailedError(f"budget must be positive, got {budget}")
         if selector not in available_selectors():
@@ -180,12 +173,7 @@ class SessionRegistry:
             )
         session_id = f"s-{next(self._ids):06d}"
         try:
-            session = self._pool.add(
-                session_id,
-                distribution,
-                channel,
-                evaluator_pool=self._group.acquire(),
-            )
+            session = self._pool.add(session_id, distribution, channel)
         except (BudgetError, SelectionError, CrowdFusionError) as error:
             raise ValidationFailedError(f"cannot create session: {error}") from None
         record = SessionRecord(
@@ -213,11 +201,9 @@ class SessionRegistry:
         return self._records.get(session_id)
 
     def remove(self, session_id: str) -> SessionRecord:
-        """Evict one session, releasing its shared-pool slot immediately."""
+        """Close one session for good."""
         record = self.get(session_id)
         del self._records[session_id]
-        # SessionPool.remove closes the session, detaching its engine from
-        # the shared evaluator pool — the worker-leak fix this service needs.
         self._pool.remove(session_id)
         if self._store is not None:
             # A deliberate close is the end of the session's life: its
@@ -234,6 +220,14 @@ class SessionRegistry:
     def durable(self) -> bool:
         return self._store is not None
 
+    def has_snapshot(self, session_id: str) -> bool:
+        """Whether ``session_id`` is stored on disk, without reading it.
+
+        With a store, an id not of the form the registry hands out raises
+        :class:`~repro.service.api.UnknownSessionError`.
+        """
+        return self._store is not None and self._store.exists(session_id)
+
     def stored_ids(self) -> Tuple[str, ...]:
         """Ids restorable from disk (evicted or from a previous process)."""
         if self._store is None:
@@ -249,12 +243,7 @@ class SessionRegistry:
 
         distribution, channel = decode_snapshot(payload)
         try:
-            session = self._pool.add(
-                session_id,
-                distribution,
-                channel,
-                evaluator_pool=self._group.acquire(),
-            )
+            session = self._pool.add(session_id, distribution, channel)
         except (BudgetError, SelectionError, CrowdFusionError) as error:
             raise ValidationFailedError(
                 f"cannot revive session {session_id}: {error}"
@@ -357,11 +346,10 @@ class SessionRegistry:
         return [record.session_id for record in idle]
 
     def close(self) -> None:
-        """Flush snapshots, evict every session, shut the pools down."""
+        """Flush snapshots and close every session."""
         if self._store is not None:
             for record in self._records.values():
                 if record.dirty:
                     self.snapshot(record)
         self._records.clear()
         self._pool.close()
-        self._group.close()

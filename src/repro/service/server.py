@@ -5,21 +5,20 @@ answers, ask "which tasks next?", repeat under a running budget — as
 addressable session resources on top of the persistent
 :class:`~repro.core.selection.session.RefinementSession` runtime:
 
-* ``create_session(distribution, channel, budget)`` registers a session and
-  attaches it to one of a small set of shared persistent worker pools;
+* ``create_session(distribution, channel, budget)`` registers a session;
 * ``post_answers(session_id, answers)`` folds a round of crowd answers into
   the posterior (the existing in-place Bayesian ``reweight``);
 * ``get_posterior(session_id)`` / ``select_next(session_id, batch)`` read
   the current state, served from generation-keyed caches whenever nothing
   merged in between;
-* ``metrics()`` reports live sessions, merge throughput, selection latency
-  percentiles and shared-pool utilisation.
+* ``metrics()`` reports live sessions, merge throughput and selection
+  latency percentiles.
 
 Concurrency model: every session owns a *bounded* job queue drained by one
-asyncio task, so one tenant's requests execute strictly in submission order
-(the property that makes a service trajectory bit-identical to the same
-answer stream replayed through a standalone session).  A full queue rejects
-new work immediately with a 429-style
+asyncio task, one job per request, so one tenant's requests execute strictly
+in submission order (the property that makes a service trajectory
+bit-identical to the same answer stream replayed through a standalone
+session).  A full queue rejects new work immediately with a 429-style
 :class:`~repro.service.api.SessionOverloadedError` — fail-fast backpressure
 instead of unbounded backlog.
 
@@ -27,10 +26,9 @@ Where a job computes depends on how much work it is
 (:meth:`RefinementService._runs_inline`).  A job that costs about what
 handing it to a thread and back costs selects, merges or builds a posterior
 inline on the event loop.  Every other job hops to a small thread pool, so a
-long computation never holds up the other tenants' requests.  Consecutive
-queued merges for one session run as one batch, in one hop when they hop.
-Snapshot writes of a durable service always run on the thread pool, so no
-fsync stalls the loop.
+long computation never holds up the other tenants' requests.  Snapshot
+writes of a durable service always run on the thread pool, so no fsync
+stalls the loop.
 """
 
 from __future__ import annotations
@@ -40,17 +38,15 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
-from repro.core.runtime import RuntimeOptions
 from repro.core.selection import ParallelSelectorMixin
 from repro.service.api import (
     BudgetExhaustedError,
     DeadlineExceededError,
-    MergeAbortedError,
     MergeReport,
     PosteriorView,
     SelectionReply,
@@ -62,7 +58,6 @@ from repro.service.api import (
     ValidationFailedError,
     decode_answers,
 )
-from repro.service.batching import EngineGroup
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import SessionRecord, SessionRegistry
 from repro.testing import faults
@@ -186,27 +181,11 @@ class _SessionWorker:
                 job.future.set_exception(error)
 
     async def _drain(self) -> None:
-        carry: Optional[_Job] = None
         while True:
-            job = carry if carry is not None else await self.queue.get()
-            carry = None
+            job = await self.queue.get()
             if job.kind == "stop":
                 break
-            if job.kind == "merge":
-                # Batch every consecutively queued merge; the first other job
-                # ends the batch and is handled right after it.
-                batch = [job]
-                while True:
-                    try:
-                        pending = self.queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if pending.kind != "merge":
-                        carry = pending
-                        break
-                    batch.append(pending)
-                await self._service._run_merge_batch(self.record, batch)
-            elif job.kind == "evict":
+            if job.kind == "evict":
                 if await self._service._run_eviction(self, job):
                     break
             else:
@@ -214,35 +193,21 @@ class _SessionWorker:
 
 
 class RefinementService:
-    """Async multi-tenant refinement sessions on shared persistent pools.
+    """Async multi-tenant refinement sessions, one job per request.
 
     One event loop serves every tenant.  A small job runs on it directly; a
     larger one computes on an executor thread while the loop serves the
-    other tenants (:meth:`_runs_inline`).
+    other tenants (:meth:`_runs_inline`).  Every scan is the serial scan.
 
     Parameters
     ----------
-    runtime:
-        :class:`~repro.core.runtime.RuntimeOptions` for the shared scan
-        runtime.  When it carries workers, the service builds ``pools``
-        shared :class:`~repro.core.selection.parallel.EvaluatorPool`
-        instances and multiplexes every session onto them; without workers
-        every scan runs serially, inline or on the executor threads.
-        ``recalibrate`` and ``parallel_entities`` are rejected
-        with :class:`~repro.service.api.ValidationFailedError`: the service
-        runtime does not implement them, and silently ignoring them would
-        hand a tenant different trajectories than the options promise.
-    pools:
-        Number of shared evaluator pools (ignored without workers).  Total
-        resident worker processes are ``pools × workers`` regardless of the
-        session count.
     max_pending:
         Per-session queue bound; the 429 threshold.
     executor_workers:
         Threads for the jobs that leave the event loop: every scan, merge
         and posterior build too large to run inline, and every snapshot
-        write.  Defaults to ``pools + 4`` so distinct tenants' large jobs
-        overlap without unbounded thread growth.
+        write.  A few threads let distinct tenants' large jobs overlap
+        without unbounded thread growth.
     state_dir:
         Directory for durable session snapshots.  With it set, every
         session's posterior/channel/budget state is snapshotted (at
@@ -262,11 +227,9 @@ class RefinementService:
 
     def __init__(
         self,
-        runtime: Optional[RuntimeOptions] = None,
         *,
-        pools: int = 1,
         max_pending: int = DEFAULT_MAX_PENDING,
-        executor_workers: Optional[int] = None,
+        executor_workers: int = 5,
         latency_window: int = 1024,
         state_dir: Optional[str] = None,
         max_sessions: Optional[int] = None,
@@ -277,22 +240,7 @@ class RefinementService:
             raise ValidationFailedError(
                 f"max_pending must be at least 1, got {max_pending}"
             )
-        if runtime is not None and runtime.recalibrate:
-            raise ValidationFailedError(
-                "RuntimeOptions.recalibrate is not supported for service "
-                "sessions: the registry creates sessions without "
-                "re-calibration, so the flag would be silently ignored"
-            )
-        if runtime is not None and runtime.parallel_entities is not None:
-            raise ValidationFailedError(
-                "RuntimeOptions.parallel_entities is experiment-level entity "
-                "fan-out and has no meaning for service sessions; configure "
-                "workers (and pools) instead"
-            )
-        policy = runtime.parallel_policy if runtime is not None else None
-        self._group = EngineGroup(policy, pools=pools)
         self._registry = SessionRegistry(
-            self._group,
             snapshot_dir=state_dir,
             max_sessions=max_sessions,
             idle_ttl_s=idle_ttl_s,
@@ -301,10 +249,7 @@ class RefinementService:
         self._metrics = ServiceMetrics(latency_window)
         self._max_pending = max_pending
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers
-            if executor_workers is not None
-            else pools + 4,
-            thread_name_prefix="refinement",
+            max_workers=executor_workers, thread_name_prefix="refinement"
         )
         self._workers: Dict[str, _SessionWorker] = {}
         self._housekeeper: "Optional[asyncio.Task]" = None
@@ -326,7 +271,7 @@ class RefinementService:
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Drain every session, release the shared pools, stop the executor."""
+        """Drain every session, flush their snapshots, stop the executor."""
         if self._closed:
             return
         self._closed = True
@@ -410,23 +355,24 @@ class RefinementService:
         budget: int,
         selector: str = "greedy_prune_pre",
     ) -> SessionCreated:
-        """Register a session and attach it to a shared evaluator pool."""
+        """Register a session; with ``state_dir``, reply once it is on disk."""
         self._ensure_open()
         self._ensure_housekeeper()
-        while self._registry.at_capacity():
-            victim = self._registry.lru_candidate()
-            if victim is None or not await self._evict_session(victim):
-                raise SessionOverloadedError(
-                    f"the service is at max_sessions="
-                    f"{self._registry.max_sessions} and no idle session "
-                    "could be evicted; retry later"
-                )
+        await self._make_room()
         record = self._registry.create(distribution, channel, budget, selector)
         worker = self._drainer(record)
         if self._registry.durable:
             # Durable from birth: a crash before the first merge must not lose
-            # the session's existence (prior, budget, selector).
-            await worker.submit("snapshot", None)
+            # the session's existence (prior, budget, selector).  A session
+            # whose birth snapshot failed leaves again, so no slot is held by
+            # an id its client never learned.
+            try:
+                await worker.submit("snapshot", None)
+            except ServiceError:
+                await worker.stop()
+                self._workers.pop(record.session_id, None)
+                self._registry.remove(record.session_id)
+                raise
         self._metrics.sessions_created += 1
         return SessionCreated(
             session_id=record.session_id,
@@ -453,7 +399,7 @@ class RefinementService:
         if not isinstance(answers, AnswerSet):
             answers = decode_answers(answers)
         deadline = _deadline_from_ms(deadline_ms)
-        worker = self._worker(session_id)
+        worker = await self._worker(session_id)
         return await worker.submit("merge", answers, deadline)
 
     async def select_next(
@@ -470,7 +416,7 @@ class RefinementService:
         if batch < 1:
             raise ValidationFailedError(f"batch must be at least 1, got {batch}")
         deadline = _deadline_from_ms(deadline_ms)
-        worker = self._worker(session_id)
+        worker = await self._worker(session_id)
         return await worker.submit("select", batch, deadline)
 
     async def get_posterior(
@@ -478,12 +424,12 @@ class RefinementService:
     ) -> PosteriorView:
         """The session's current posterior, cached per generation."""
         deadline = _deadline_from_ms(deadline_ms)
-        worker = self._worker(session_id)
+        worker = await self._worker(session_id)
         return await worker.submit("posterior", None, deadline)
 
     async def close_session(self, session_id: str) -> SessionClosed:
-        """Drain the session's queue, then evict it and free its pool slot."""
-        worker = self._worker(session_id)
+        """Drain the session's queue, then remove it and delete its snapshot."""
+        worker = await self._worker(session_id)
         await worker.stop()
         self._workers.pop(session_id, None)
         record = self._registry.remove(session_id)
@@ -495,7 +441,7 @@ class RefinementService:
         )
 
     def metrics(self) -> Dict[str, Any]:
-        """The metrics-endpoint payload, shared-pool utilisation included."""
+        """The metrics-endpoint payload."""
         durability = None
         if self._registry.durable:
             durability = {
@@ -504,11 +450,7 @@ class RefinementService:
                 "max_sessions": self._registry.max_sessions,
                 "idle_ttl_s": self._registry.idle_ttl_s,
             }
-        return self._metrics.snapshot(
-            pools=self._group.utilisation(),
-            recovery=self._group.recovery_counters(),
-            durability=durability,
-        )
+        return self._metrics.snapshot(durability=durability)
 
     # -- request execution -------------------------------------------------------------
 
@@ -516,11 +458,30 @@ class RefinementService:
         if self._closed:
             raise ServiceError("the refinement service is shut down")
 
-    def _worker(self, session_id: str) -> _SessionWorker:
+    async def _worker(self, session_id: str) -> _SessionWorker:
         self._ensure_open()
-        # Raises UnknownSessionError for sessions that never existed; revives
+        registry = self._registry
+        if registry.peek(session_id) is None and registry.has_snapshot(session_id):
+            # A revive adds a resident session, so it makes room as a create
+            # does; an id with no snapshot falls through to its 404.
+            await self._make_room()
+        # No await from the last capacity check to here.  Raises
+        # UnknownSessionError for sessions that never existed; revives
         # evicted/restarted sessions from their disk snapshot.
-        return self._drainer(self._registry.get(session_id))
+        return self._drainer(registry.get(session_id))
+
+    async def _make_room(self) -> None:
+        """Evict LRU idle sessions until one more fits under ``max_sessions``."""
+        while self._registry.at_capacity():
+            victim = self._registry.lru_candidate()
+            if victim is None or not await self._evict_session(victim):
+                raise SessionOverloadedError(
+                    f"the service is at max_sessions="
+                    f"{self._registry.max_sessions} and no idle session "
+                    "could be evicted; retry later"
+                )
+            # The service may have shut down during the eviction.
+            self._ensure_open()
 
     def _drainer(self, record: SessionRecord) -> _SessionWorker:
         """The live record's drainer, built on first use.
@@ -545,77 +506,42 @@ class RefinementService:
                 f"session {record.session_id} has no facts {unknown}"
             )
 
-    async def _run_merge_batch(
-        self, record: SessionRecord, jobs: List[_Job]
-    ) -> None:
-        """Validate, charge and merge a batch of queued answer sets.
+    async def _run_merge(
+        self, record: SessionRecord, answers: AnswerSet
+    ) -> MergeReport:
+        """Validate, charge and merge one answer set.
 
-        Validation and budget charging stay per request (a bad tenant batch
-        fails alone); the accepted merges execute back to back, inline or in
-        a single executor hop (:meth:`_execute`).  A snapshot that falls due
-        is written on the executor before the batch is answered.
+        A merge that raises keeps its budget charge: the session state is
+        indeterminate for it.  A snapshot that falls due is written on the
+        executor before the merge is answered.
         """
-        accepted: List[_Job] = []
-        for job in jobs:
-            if job.expired():
-                # Deadline enforcement in the drain loop: the merge spent its
-                # whole budget queued, nothing was validated or charged —
-                # retry-safe by construction.
-                self._metrics.deadline_hits += 1
-                if not job.future.done():
-                    job.future.set_exception(
-                        DeadlineExceededError(
-                            "merge deadline expired while queued; the answers "
-                            "were not charged or merged — safe to retry"
-                        )
-                    )
-                continue
-            try:
-                self._validate_answers(record, job.payload)
-                record.charge(len(job.payload))
-                accepted.append(job)
-            except Exception as error:
-                self._metrics.errors += 1
-                if not isinstance(error, ServiceError):
-                    error = ServiceError(f"merge rejected: {error}")
-                if not job.future.done():
-                    job.future.set_exception(error)
-        if not accepted:
-            return
-
+        self._validate_answers(record, answers)
+        record.charge(len(answers))
         session = record.session
-        completed: List[MergeReport] = []
 
-        def merge_all() -> None:
-            # One merge per step with progress recorded after each, so a
-            # failure partway through the batch tells the caller exactly
-            # which merges applied, which job failed, and which never ran.
-            for job in accepted:
-                faults.fire("merge")
-                session.merge(job.payload)
-                completed.append(
-                    MergeReport(
-                        session_id=record.session_id,
-                        rounds_merged=session.rounds_merged,
-                        answers_merged=len(job.payload),
-                        budget_remaining=record.remaining,
-                        utility=session.utility(),
-                    )
-                )
+        def merge() -> MergeReport:
+            faults.fire("merge")
+            session.merge(answers)
+            return MergeReport(
+                session_id=record.session_id,
+                rounds_merged=session.rounds_merged,
+                answers_merged=len(answers),
+                budget_remaining=record.remaining,
+                utility=session.utility(),
+            )
 
         started = time.perf_counter()
-        failure: Optional[BaseException] = None
         try:
-            await self._execute(record, merge_all, None, "merge", len(accepted))
-        except Exception as error:
-            failure = error
-        elapsed = time.perf_counter() - started
-
-        record.invalidate_caches()
-        if completed and self._registry.note_merged(record):
-            # A partly-failed batch snapshots whatever actually merged.  A
-            # failed write leaves the record dirty for the next snapshot; the
-            # merges applied regardless, so their replies stand.
+            report = await self._execute(record, merge, None, "merge")
+        finally:
+            # Even a failed merge may have moved the engine.
+            record.invalidate_caches()
+        self._metrics.merge_latency.record(time.perf_counter() - started)
+        self._metrics.merges += 1
+        self._metrics.answers_merged += len(answers)
+        if self._registry.note_merged(record):
+            # A failed write leaves the record dirty for the next snapshot;
+            # the merge applied regardless, so its reply stands.
             try:
                 await self._write_snapshot(record)
             except Exception:
@@ -623,50 +549,21 @@ class RefinementService:
                 _LOGGER.exception(
                     "snapshot of session %s failed after a merge", record.session_id
                 )
-        done = len(completed)
-        if done:
-            self._metrics.merge_batches += 1
-        for job, report in zip(accepted, completed):
-            # These merges applied (before any failure): their posterior
-            # updates are in the session for good, so answer them normally.
-            self._metrics.merges += 1
-            self._metrics.answers_merged += report.answers_merged
-            self._metrics.merge_latency.record(elapsed / done)
-            if not job.future.done():
-                job.future.set_result(report)
-        if failure is None:
-            return
-
-        # The job at index ``done`` raised mid-merge: its budget stays
-        # charged (the session state is indeterminate for it).  The jobs
-        # behind it never ran — refund their charge so a client retry cannot
-        # double-merge, and fail them with a retry-safe error.
-        self._metrics.errors += len(accepted) - done
-        failed_job = accepted[done]
-        if not failed_job.future.done():
-            failed_job.future.set_exception(ServiceError(f"merge failed: {failure}"))
-        for job in accepted[done + 1:]:
-            record.spent -= len(job.payload)
-            if not job.future.done():
-                job.future.set_exception(
-                    MergeAbortedError(
-                        "merge aborted: an earlier merge in the batch failed "
-                        f"({failure}); these answers were not merged and "
-                        "their budget charge was refunded — safe to retry"
-                    )
-                )
+        return report
 
     async def _run_job(self, record: SessionRecord, job: _Job) -> None:
         try:
             if job.expired():
                 # The job spent its whole deadline queued behind other work;
-                # nothing has run — retry-safe.
+                # nothing has run, and a merge was not charged — retry-safe.
                 self._metrics.deadline_hits += 1
                 raise DeadlineExceededError(
                     f"{job.kind} deadline expired while queued — safe to retry"
                 )
-            if job.kind == "select":
-                result: Any = await self._run_select(record, job.payload, job)
+            if job.kind == "merge":
+                result: Any = await self._run_merge(record, job.payload)
+            elif job.kind == "select":
+                result = await self._run_select(record, job.payload, job)
             elif job.kind == "posterior":
                 result = await self._run_posterior(record, job)
             elif job.kind == "snapshot":
@@ -674,10 +571,10 @@ class RefinementService:
             else:  # pragma: no cover - defensive: unknown kinds cannot be queued
                 raise ServiceError(f"unknown request kind {job.kind!r}")
         except Exception as error:
-            # Anything the core runtime can throw — SelectionError, a
-            # crashed pool worker, OSError — must surface on *this job's*
-            # future as a typed ServiceError; letting it propagate would
-            # kill the drain task and hang every client of this session.
+            # Anything the core runtime can throw — SelectionError, a failed
+            # merge, OSError — must surface on *this job's* future as a typed
+            # ServiceError; letting it propagate would kill the drain task
+            # and hang every client of this session.
             self._metrics.errors += 1
             if not isinstance(error, ServiceError):
                 error = ServiceError(f"{job.kind} failed: {error}")
@@ -691,24 +588,22 @@ class RefinementService:
         """Whether one job of ``record`` computes on the event loop.
 
         It does when its work stays below ``_INLINE_WORK`` support cells.  A
-        posterior build touches each of the support's rows × facts cells
-        about once, and a batch of ``size`` merges once per merge.  A select
-        of ``size`` tasks by the engine-backed greedy family makes one scan
-        per task: step ``s`` scores the ``facts − s`` remaining candidates,
-        each over the support's rows or over its answer table of ``2^s``
-        cells, which the channel transform passes over ``s`` times, whichever
-        is larger.  Every other selector (an exhaustive or a pure-Python
-        scan) hops, and so does every job of a session past
-        ``_INLINE_MAX_FACTS`` or on a shared pool, whose scans can block on
-        worker I/O and rebuilds.
+        posterior build or a merge touches each of the support's rows × facts
+        cells about once.  A select of ``size`` tasks by the engine-backed
+        greedy family makes one scan per task: step ``s`` scores the
+        ``facts − s`` remaining candidates, each over the support's rows or
+        over its answer table of ``2^s`` cells, which the channel transform
+        passes over ``s`` times, whichever is larger.  Every other selector
+        (an exhaustive or a pure-Python scan) hops, and so does every job of
+        a session past ``_INLINE_MAX_FACTS``.
         """
         session = record.session
         facts = session.num_facts
-        if session.parallel_policy is not None or facts > _INLINE_MAX_FACTS:
+        if facts > _INLINE_MAX_FACTS:
             return False
         rows = len(session.engine.probabilities)
         if kind != "select":
-            work = rows * facts * size
+            work = rows * facts
         elif isinstance(record.selector, ParallelSelectorMixin):
             work = sum(
                 (facts - step) * max(rows, (step + 1) << step)
@@ -723,10 +618,9 @@ class RefinementService:
     ):
         """Run one job's computation inline when it is small, else :meth:`_hop`.
 
-        ``size`` is a select's ``k`` or a batch's merge count (see
-        :meth:`_runs_inline`).  An inline job checks its deadline only before
-        it starts (in the drainer); a hopped one is also bounded
-        mid-computation.
+        ``size`` is a select's ``k`` (see :meth:`_runs_inline`).  An inline
+        job checks its deadline only before it starts (in the drainer); a
+        hopped one is also bounded mid-computation.
         """
         if self._runs_inline(record, kind, size):
             return call()

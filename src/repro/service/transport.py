@@ -173,7 +173,7 @@ async def serve(
 
     The caller owns both lifetimes: close the returned server to stop
     accepting connections, then ``await service.shutdown()`` to drain
-    sessions and reclaim the shared worker pools.
+    sessions, flush their snapshots and stop the executor threads.
     """
     return await asyncio.start_server(
         lambda reader, writer: _handle_connection(service, reader, writer),

@@ -18,7 +18,6 @@ from repro.core.distribution import JointDistribution
 from repro.core.kernels import default_tier
 from repro.core.selection import RefinementSession, SelectionStats, get_selector
 from repro.core.selection.engine import EntropyEngine
-from repro.service.batching import EngineGroup
 from repro.service.registry import SessionRegistry
 
 
@@ -59,7 +58,7 @@ def test_engine_takes_no_kernel_keyword():
 
 def test_session_registry_takes_no_kernel_keyword():
     with pytest.raises(TypeError):
-        SessionRegistry(EngineGroup(None), kernel="numpy")
+        SessionRegistry(kernel="numpy")
 
 
 def test_selection_stats_carry_no_kernel():

@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.core.crowd import CrowdModel, PerFactChannelModel
-from repro.core.runtime import RuntimeOptions
 from repro.core.selection import TaskSelector
 from repro.core.selection.session import RefinementSession
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
@@ -132,8 +131,8 @@ class TestPlacement:
         assert seen["merge"] == [loop_thread, loop_thread]
 
     def test_a_batch_of_merges_counts_every_merge(self, monkeypatch):
-        # Merges queued back to back run as one batch: one merge of a
-        # 2048 × 11 book runs inline, a batch of three hops.
+        # Merges queued back to back are still one job each: three merges of
+        # a 2048 × 11 book each run inline, as a single one does.
         seen = _spy_threads(monkeypatch)
         prior = dense_distribution(11, 2048, seed=69)
         facts = prior.fact_ids
@@ -144,21 +143,19 @@ class TestPlacement:
                     prior, CrowdModel(0.8), budget=20
                 )
                 sid = created.session_id
-                await service.post_answers(sid, scripted_answers(facts[:1], 0))
                 await asyncio.gather(
                     *(
                         service.post_answers(sid, scripted_answers(facts[i:i + 1], i))
                         for i in (1, 2, 3)
                     )
                 )
-                assert service.metrics()["merges"]["batches"] == 2
+                merges = service.metrics()["merges"]
+                assert merges["count"] == 3
+                assert merges["batches"] == merges["count"]
                 return threading.current_thread().name
 
         loop_thread = run(scenario())
-        single, *batch = seen["merge"]
-        assert single == loop_thread
-        assert len(batch) == 3
-        assert all(name.startswith("refinement") for name in batch)
+        assert seen["merge"] == [loop_thread] * 3
 
     def test_an_exhaustive_selector_scans_on_a_thread(self, monkeypatch):
         # ``opt`` scores every k-subset on a fresh engine, however small the
@@ -187,21 +184,6 @@ class TestPlacement:
 
         async def scenario():
             async with RefinementService() as service:
-                return await _one_round(service, prior)
-
-        loop_thread = run(scenario())
-        for label, threads in seen.items():
-            assert threads and loop_thread not in threads, label
-            assert all(name.startswith("refinement") for name in threads), label
-
-    @pytest.mark.parallel
-    def test_a_pool_attached_session_hops_whatever_its_size(self, monkeypatch):
-        seen = _spy_threads(monkeypatch)
-        prior = dense_distribution(5, 24, seed=62)
-        runtime = RuntimeOptions(workers=2, parallel_threshold=0)
-
-        async def scenario():
-            async with RefinementService(runtime) as service:
                 return await _one_round(service, prior)
 
         loop_thread = run(scenario())

@@ -10,18 +10,20 @@ nothing resurrects.
 """
 
 import asyncio
+import os
 import threading
 
 import pytest
 
 from repro.core.crowd import CrowdModel, PerFactChannelModel
+from repro.core.selection import RefinementSession
 from repro.service import RefinementService, persistence
 from repro.service.api import (
+    ServiceError,
     SessionOverloadedError,
     UnknownSessionError,
     ValidationFailedError,
 )
-from repro.service.batching import EngineGroup
 from repro.service.persistence import SessionSnapshotStore
 from repro.service.registry import SessionRegistry
 
@@ -156,12 +158,32 @@ class TestEviction:
                 assert service.sessions_live == 2
                 durability = service.metrics()["durability"]
                 assert durability["evictions"] == 1
-                # The evicted session revives from disk on its next request.
+                # The evicted session revives from disk on its next request,
+                # and makes room for itself under the cap as a create does.
                 revived = await service.get_posterior(first.session_id)
                 assert revived.rounds_merged == 1
                 for fact_id, marginal in view.marginals.items():
                     assert abs(revived.marginals[fact_id] - marginal) < 1e-12
-                assert service.metrics()["durability"]["revivals"] == 1
+                durability = service.metrics()["durability"]
+                assert durability["revivals"] == 1
+                assert service.sessions_live == 2
+                assert durability["evictions"] == 2
+
+        run(scenario())
+
+    def test_an_unknown_id_at_the_cap_evicts_nobody(self, tmp_path):
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                created = await service.create_session(
+                    make_prior(), CrowdModel(0.8), budget=6
+                )
+                for unknown in ("s-999999", "../s-000001"):
+                    with pytest.raises(UnknownSessionError):
+                        await service.get_posterior(unknown)
+                assert service.session_ids() == (created.session_id,)
+                assert service.metrics()["durability"]["evictions"] == 0
 
         run(scenario())
 
@@ -230,9 +252,9 @@ class TestEviction:
 
     def test_eviction_requires_state_dir(self):
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
-            SessionRegistry(EngineGroup(None), max_sessions=4)
+            SessionRegistry(max_sessions=4)
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
-            SessionRegistry(EngineGroup(None), idle_ttl_s=5.0)
+            SessionRegistry(idle_ttl_s=5.0)
 
 
 class TestSnapshotWrites:
@@ -306,6 +328,68 @@ class TestSnapshotWrites:
 
         assert run(after()).rounds_merged == 2
 
+    def test_a_failed_birth_snapshot_leaves_no_session(self, tmp_path, monkeypatch):
+        write = persistence.atomic_write_json
+
+        def full_disk(path, payload):
+            raise OSError("no space left on device")
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                monkeypatch.setattr(persistence, "atomic_write_json", full_disk)
+                with pytest.raises(ServiceError, match="no space left"):
+                    await service.create_session(
+                        make_prior(0), CrowdModel(0.8), budget=6
+                    )
+                assert service.sessions_live == 0
+                assert service.session_ids() == ()
+                # The failed session holds no slot: the next create fits
+                # under the cap without evicting anyone.
+                monkeypatch.setattr(persistence, "atomic_write_json", write)
+                created = await service.create_session(
+                    make_prior(1), CrowdModel(0.8), budget=6
+                )
+                assert service.session_ids() == (created.session_id,)
+                assert service.metrics()["durability"]["evictions"] == 0
+
+        run(scenario())
+
+
+class TestSessionIds:
+    """A client's session id never reaches a path outside ``state_dir``."""
+
+    def test_an_id_that_climbs_out_of_state_dir_is_unknown(self, tmp_path):
+        outside = tmp_path / "outside"
+
+        async def plant():
+            # A real snapshot, moved out of the state directory.
+            async with RefinementService(state_dir=str(outside)) as service:
+                created = await service.create_session(
+                    make_prior(), CrowdModel(0.8), budget=6
+                )
+            os.rename(
+                outside / f"{created.session_id}.json", outside / "victim.json"
+            )
+            (outside / "plain.json").write_text('{"not": "a snapshot"}')
+
+        run(plant())
+        victim = (outside / "victim.json").read_bytes()
+
+        async def attack():
+            async with RefinementService(state_dir=str(tmp_path / "state")) as service:
+                for name in ("victim", "plain", "missing"):
+                    with pytest.raises(UnknownSessionError):
+                        await service.get_posterior(f"../outside/{name}")
+                    with pytest.raises(UnknownSessionError):
+                        await service.close_session(f"../outside/{name}")
+                assert service.sessions_live == 0
+
+        run(attack())
+        assert (outside / "victim.json").read_bytes() == victim
+        assert (outside / "plain.json").exists()
+
 
 class TestSnapshotStore:
     def test_version_gate(self, tmp_path):
@@ -330,3 +414,30 @@ class TestSnapshotStore:
         store.delete("s-000001")
         store.delete("s-000001")  # idempotent
         assert store.stored_ids() == ["s-000002"]
+
+    @pytest.mark.parametrize(
+        "session_id",
+        ["../x", "s-1/../s-2", "", "s-1\x00"],
+        ids=["parent", "embedded-parent", "empty", "nul"],
+    )
+    def test_a_malformed_id_is_refused_before_any_file_access(
+        self, tmp_path, monkeypatch, session_id
+    ):
+        store = SessionSnapshotStore(str(tmp_path))
+        session = RefinementSession(make_prior(), CrowdModel(0.8))
+
+        def no_file_access(*args, **kwargs):
+            raise AssertionError("the store touched the file system")
+
+        monkeypatch.setattr(persistence, "atomic_write_json", no_file_access)
+        monkeypatch.setattr(persistence, "read_json", no_file_access)
+        monkeypatch.setattr(os, "unlink", no_file_access)
+        monkeypatch.setattr(os.path, "exists", no_file_access)
+        with pytest.raises(UnknownSessionError):
+            store.load(session_id)
+        with pytest.raises(UnknownSessionError):
+            store.save(session_id, session, "greedy", 6, 0)
+        with pytest.raises(UnknownSessionError):
+            store.delete(session_id)
+        with pytest.raises(UnknownSessionError):
+            store.exists(session_id)

@@ -17,7 +17,6 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import RefinementSession, get_selector
-from repro.core.selection.parallel import fork_available
 from repro.service import RefinementService, server
 from repro.service.api import (
     BudgetExhaustedError,
@@ -26,7 +25,6 @@ from repro.service.api import (
     UnknownSessionError,
     ValidationFailedError,
 )
-from repro.service.server import _Job
 
 from tests.core.selection.test_persistent_pool import (
     dense_distribution,
@@ -248,7 +246,7 @@ class TestFaultIsolation:
 
         run(scenario())
 
-    def test_merge_batch_partial_failure_refunds_jobs_that_never_ran(self):
+    def test_a_failed_merge_fails_alone_and_the_next_merge_applies(self):
         async def scenario():
             async with RefinementService() as service:
                 created = await service.create_session(
@@ -267,41 +265,40 @@ class TestFaultIsolation:
                     return real_merge(answers)
 
                 session.merge = flaky_merge
-                loop = asyncio.get_running_loop()
-                jobs = [
-                    _Job(
-                        "merge",
-                        AnswerSet.from_mapping({fact_ids[i]: True}),
-                        loop.create_future(),
-                    )
-                    for i in range(3)
-                ]
-                await service._run_merge_batch(record, jobs)
+                # Three merges queued before the drainer wakes: each one is
+                # its own job.
+                results = await asyncio.gather(
+                    *(
+                        service.post_answers(created.session_id, {fact_ids[i]: True})
+                        for i in range(3)
+                    ),
+                    return_exceptions=True,
+                )
                 session.merge = real_merge
 
-                # The merge before the failure applied: answered normally.
-                report = jobs[0].future.result()
-                assert report.rounds_merged == 1 and report.answers_merged == 1
-                # The failing job gets the failure; its charge stands.
-                with pytest.raises(ServiceError, match="merge failed"):
-                    jobs[1].future.result()
-                # The job behind it never merged: failed retry-safe, refunded.
-                with pytest.raises(ServiceError, match="refunded"):
-                    jobs[2].future.result()
-                assert record.spent == 2
-                assert session.rounds_merged == 1
-                # The session keeps serving after the partial failure.
+                first, failed, third = results
+                assert first.rounds_merged == 1 and first.answers_merged == 1
+                # The failing merge gets the failure, not retry-safe; its
+                # charge stands.
+                assert type(failed) is ServiceError and not failed.retry_safe
+                assert "merge failed" in str(failed)
+                # The merge queued behind it applies normally.
+                assert third.rounds_merged == 2 and third.answers_merged == 1
+                assert record.spent == 3
+                assert session.rounds_merged == 2
+                metrics = service.metrics()
+                assert metrics["merges"]["count"] == 2 and metrics["errors"] == 1
+                # The session keeps serving after the failure.
                 reply = await service.select_next(created.session_id, batch=1)
                 assert reply.task_ids
 
         run(scenario())
 
     def test_runtime_options_the_service_cannot_honour_are_rejected(self):
-        with pytest.raises(ValidationFailedError, match="recalibrate"):
-            RefinementService(RuntimeOptions(recalibrate=True))
-        if fork_available():
-            with pytest.raises(ValidationFailedError, match="parallel_entities"):
-                RefinementService(RuntimeOptions(parallel_entities=2))
+        with pytest.raises(TypeError):
+            RefinementService(RuntimeOptions())
+        with pytest.raises(TypeError):
+            RefinementService(pools=2)
 
 
 class TestBackpressure:

@@ -36,12 +36,27 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8642
-        assert args.pools == 1 and args.max_pending == 8
-        assert args.workers is None
+        assert args.max_pending == 8
+        assert args.state_dir is None
+        assert args.max_sessions is None
+        assert args.idle_ttl_s is None
 
-    def test_serve_invalid_workers_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--workers", "0"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--workers",
+            "--parallel-threshold",
+            "--pools",
+            "--dispatch-timeout-ms",
+            "--max-rebuilds",
+        ],
+    )
+    def test_serve_pool_flags_are_gone(self, flag, capsys):
+        # The service runs no worker pool since 5.0.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["serve", flag, "2"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",
