@@ -50,11 +50,14 @@ bench-smoke:
 # independence), the histogram-scan suite (the per-slice histogram grouping
 # of large supports, forced on every batched-scan case and engaging on its
 # own past 2^12 rows, vs. the scalar oracle, greedy_reference and the pool),
-# and the wide_facts benchmark scenario.
+# the merge-oracle suite (count-table and factor-gather likelihoods, session
+# merges and merge_answers vs. the 5.0 per-row merge kept in the test tree,
+# bit for bit on both mask layouts), and the wide_facts benchmark scenario.
 engine-smoke:
 	$(PYTEST) -q \
 		tests/core/test_bitplanes.py \
 		tests/core/test_distribution.py \
+		tests/core/test_merge_oracle.py \
 		tests/datasets/test_scale.py \
 		tests/core/selection/test_wide_facts.py \
 		tests/core/selection/test_batched_scan.py \

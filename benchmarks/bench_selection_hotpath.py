@@ -10,7 +10,7 @@ fact sets, comparing implementations of the same algorithm:
 All must select the *identical* task set; the engine paths must beat the
 reference by at least the acceptance-floor factor on the largest scenario.
 
-Six follow-on suites ride in the same artifact:
+Seven follow-on suites ride in the same artifact:
 
 * **heterogeneous channels** — the per-bit 2×2 channel generalisation must
   cost about the same as the uniform BSC path and degenerate to the
@@ -27,7 +27,10 @@ Six follow-on suites ride in the same artifact:
 * **session pools** — a multi-round run on one session-owned pool fed
   through the shared-memory snapshot ring vs. the serial session;
 * **entity fan-out** — the quality experiment with whole entity trajectories
-  fanned out across a fork pool, curves identical to the in-process run.
+  fanned out across a fork pool, curves identical to the in-process run;
+* **merge** — session merges vs. the 5.0 per-row likelihood formula kept in
+  ``tests/core/merge_oracle.py``, bit-identical posteriors, on a book-sized
+  and a 2^18-row support.
 
 Every run **merge-appends** its scenarios into
 ``benchmarks/results/BENCH_selection.json`` keyed by scenario id, so entries
@@ -71,6 +74,7 @@ from repro.evaluation.experiment import (
 from repro.fusion.majority import MajorityVote
 
 from _bench_utils import RESULTS_DIR
+from tests.core.merge_oracle import oracle_merge
 
 NUM_FACTS_GRID = (10, 14, 18)
 K = 8
@@ -109,6 +113,13 @@ MAX_AUTO_SERIAL_OVERHEAD = 1.05
 #: Entity fan-out must beat the in-process experiment by at least this factor
 #: on >=4-CPU hosts (identical curves are asserted everywhere).
 MIN_ENTITY_SPEEDUP = 1.1
+
+#: A session merge on the large merge scenario must beat the 5.0 per-row
+#: merge by at least this factor (measured about 7x on a 2-CPU VM).
+MIN_MERGE_SPEEDUP = 2.0
+
+#: Support rows of the large merge scenario (48 facts, as the scale corpus).
+MERGE_SCALE_SUPPORT = 1 << 18
 
 
 # -- artifact layer (merge-append, keyed by scenario) -------------------------------
@@ -413,6 +424,93 @@ def test_session_reuse_beats_rebuild_per_round():
     headline = max(rows, key=lambda row: row["speedup_session"])
     assert headline["speedup_session"] >= MIN_SESSION_SPEEDUP, rows
     assert all(row["speedup_session"] > 0.9 for row in rows), rows
+
+
+# -- the merge: count table vs. the 5.0 per-row formula -------------------------------
+
+
+def _merge_timings(distribution, crowd, rounds, repeats):
+    """Best-of-``repeats`` seconds of folding ``rounds`` into the prior, by the
+    5.0 per-row oracle and by ``RefinementSession.merge``, round by round in
+    alternation; asserts bit-identical posteriors after every round."""
+    best_oracle = best_session = float("inf")
+    for _ in range(repeats):
+        session = RefinementSession(distribution, crowd)
+        for answers in rounds:
+            # A selection round leaves these columns cached before its merge.
+            for fact_id in answers:
+                session.engine.bits(fact_id)
+        expected = distribution.support_arrays()[1]
+        oracle_seconds = session_seconds = 0.0
+        for answers in rounds:
+            started = time.perf_counter()
+            expected = oracle_merge(expected, distribution, answers, crowd)
+            oracle_seconds += time.perf_counter() - started
+            started = time.perf_counter()
+            session.merge(answers)
+            session_seconds += time.perf_counter() - started
+            assert np.array_equal(session.engine.probabilities, expected)
+        best_oracle = min(best_oracle, oracle_seconds)
+        best_session = min(best_session, session_seconds)
+    return best_oracle, best_session
+
+
+@pytest.mark.parametrize("scenario", ["book", "scale"])
+def test_merge_count_table_beats_the_per_row_formula(scenario):
+    """Session merges vs. the 5.0 per-row likelihoods: identical, faster."""
+    if scenario == "book":
+        num_facts, support, repeats = 11, 2048, 20
+        distribution = _session_scenario_distribution(num_facts, support)
+    else:
+        num_facts, support, repeats = SCALE_FACTS, MERGE_SCALE_SUPPORT, 5
+        distribution = generate_scale_distribution(
+            ScaleCorpusConfig(num_facts=num_facts, support_size=support, seed=SEED)
+        )
+    fact_ids = distribution.fact_ids
+    rng = np.random.default_rng(SEED)
+    k, num_rounds = 3, 20
+    rounds = [
+        AnswerSet.from_mapping(
+            {
+                fact_ids[index]: bool(rng.integers(0, 2))
+                for index in rng.choice(num_facts, size=k, replace=False)
+            }
+        )
+        for _ in range(num_rounds)
+    ]
+    channels = {
+        "uniform": CrowdModel(ACCURACY),
+        "per_fact": PerFactChannelModel(
+            ACCURACY, {fact_id: 0.7 for fact_id in fact_ids[::2]}
+        ),
+    }
+    row = {
+        "suite": "merge",
+        "description": (
+            f"{num_rounds} session merges of k={k} answers: the 5.0 per-row "
+            "likelihoods (project, popcount, two powers per row; one np.where "
+            "factor per fact) vs. RefinementSession.merge (a (k+1)-entry "
+            "count table or a 2-entry factor table per fact, gathered through "
+            "the engine's cached bit columns). Posteriors bit-identical after "
+            "every round."
+        ),
+        "num_facts": num_facts,
+        "support": support,
+        "k": k,
+        "rounds": num_rounds,
+        "identical_posteriors": True,
+    }
+    for name, crowd in channels.items():
+        oracle_seconds, session_seconds = _merge_timings(
+            distribution, crowd, rounds, repeats
+        )
+        row[f"{name}_oracle_seconds"] = oracle_seconds
+        row[f"{name}_session_seconds"] = session_seconds
+        row[f"{name}_speedup"] = oracle_seconds / session_seconds
+    _record_scenarios({f"merge/{scenario}_n{num_facts}_s{support}_k{k}": row})
+
+    if scenario == "scale":
+        assert row["uniform_speedup"] >= MIN_MERGE_SPEEDUP, row
 
 
 # -- parallel sharding on the scale corpus ------------------------------------------

@@ -369,7 +369,8 @@ class JointDistribution:
                 f"expected {probs.shape[0]} weights aligned to the support, "
                 f"got {weights.shape}"
             )
-        if np.isnan(weights).any() or (weights < 0.0).any():
+        # One pass refuses NaN (it compares false) and negative weights alike.
+        if not (weights >= 0.0).all():
             raise InvalidDistributionError("weights must be non-negative numbers")
         return self.from_support_arrays(self._fact_ids, masks, probs * weights)
 

@@ -10,18 +10,22 @@ facts only (Equation 3).  Under a heterogeneous channel model the likelihood
 factorises per task instead: ``P(Ans | o) = Π_i (acc_i if Ans_i = o_i else
 1 − acc_i)`` — the same channels the selection engine scores with, so what
 selection expected is exactly what merging applies.
+
+Both are computed from the answered facts' 0/1 support columns.  A uniform
+round has only ``k + 1`` distinct likelihoods, one per count of disagreeing
+answers, so each row gathers its value from a ``(k + 1)``-entry table.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
-from repro.core.entropy import bit_column, popcount_array, project_columns
+from repro.core.entropy import bit_column
 from repro.exceptions import SelectionError
 
 
@@ -34,32 +38,70 @@ def answer_likelihood_array(
     refinement sessions reweight with; the alignment contract is that row
     ``i`` of the result multiplies the mass of ``support_arrays()[0][i]``.
     """
+    masks, _ = distribution.support_arrays()
+    return _column_likelihoods(
+        answers, crowd, lambda fact_id: bit_column(masks, distribution.position(fact_id))
+    )
+
+
+def _column_likelihoods(
+    answers: AnswerSet,
+    crowd: ChannelModel,
+    column_of: Callable[[str], np.ndarray],
+) -> np.ndarray:
+    """``P(Ans | o)`` per support row from the answered facts' 0/1 columns.
+
+    ``column_of(fact_id)`` returns the fact's ``int8`` 0/1 column over the
+    support (``bit_column`` of the masks, or a session engine's cached
+    ``EntropyEngine.bits``) and raises ``InvalidFactError`` for an unknown
+    fact.  The columns are only read: every array written here is fresh.
+
+    A uniform channel's likelihood depends only on how many of the ``k``
+    answers disagree with the row, so each row's disagreement count indexes
+    a ``(k + 1)``-entry table.  The table is the same NumPy array power the
+    per-row formula ``Pc^#Same · (1 − Pc)^#Diff`` takes, so every entry is
+    bit-identical to it.  A heterogeneous channel multiplies one gathered
+    ``(1 − acc, acc)`` factor per answer, in answer order.
+    """
     judgments = answers.judgments()
     if not judgments:
         raise SelectionError("cannot merge an empty answer set")
-    masks, _ = distribution.support_arrays()
 
     uniform = crowd.uniform_accuracy
     if uniform is not None:
-        positions = []
-        answer_mask = 0
-        for index, (fact_id, judgment) in enumerate(judgments.items()):
-            positions.append(distribution.position(fact_id))
-            if judgment:
-                answer_mask |= 1 << index
-        projected = project_columns(masks, tuple(positions))
-        diff = popcount_array(projected ^ answer_mask)
-        same = len(positions) - diff
-        return (uniform ** same) * ((1.0 - uniform) ** diff)
+        k = len(judgments)
+        # Every row starts at the number of "true" answers, loses one per
+        # true-answered fact it holds and gains one per false-answered fact
+        # it holds: its disagreement count, which never leaves [0, k].
+        trues = sum(judgments.values())
+        dtype = np.min_scalar_type(k)
+        counts = None
+        for fact_id, judgment in judgments.items():
+            bits = column_of(fact_id).view(np.uint8)
+            if counts is None:
+                counts = (np.subtract if judgment else np.add)(trues, bits, dtype=dtype)
+            elif judgment:
+                counts -= bits
+            else:
+                counts += bits
+        # NumPy's array power over int64 exponents, as the per-row formula
+        # took it: Python's scalar ``**`` (libm's pow) may differ in the last
+        # bit (it does at Pc = 0.8).
+        diff = np.arange(k + 1)
+        table = (uniform ** (k - diff)) * ((1.0 - uniform) ** diff)
+        return table.take(counts)
 
-    values = np.ones(masks.shape[0], dtype=np.float64)
+    values = None
     for fact_id, judgment in judgments.items():
-        position = distribution.position(fact_id)
+        bits = column_of(fact_id).view(np.uint8)
         accuracy = crowd.accuracy_for(fact_id)
-        agrees = bit_column(masks, position).astype(bool)
-        if not judgment:
-            agrees = ~agrees
-        values *= np.where(agrees, accuracy, 1.0 - accuracy)
+        # factors[bit]: the probability of this answer given the row's truth bit.
+        pair = (1.0 - accuracy, accuracy) if judgment else (accuracy, 1.0 - accuracy)
+        factors = np.array(pair, dtype=np.float64).take(bits)
+        if values is None:
+            values = factors
+        else:
+            values *= factors
     return values
 
 

@@ -331,7 +331,9 @@ class EntropyEngine:
         Stored as ``int8`` — one byte per support row — so a scale corpus
         (2^20 rows, hundreds of candidate facts) keeps its whole column cache
         in tens of megabytes; every consumer (``|`` into an ``int64``
-        projection, ``×`` into a float64 product) promotes losslessly.
+        projection, ``×`` into a float64 product, a session merge's
+        likelihood gather) promotes losslessly.  The column is read-only:
+        it is shared by every consumer and every interest view.
         """
         column = self._bits.get(fact_id)
         if column is None:
@@ -339,6 +341,7 @@ class EntropyEngine:
             # bit_column reads either mask layout: int64 column or packed
             # uint64 planes.
             column = bit_column(self._masks, position)
+            column.setflags(write=False)
             self._bits[fact_id] = column
         return column
 
@@ -471,13 +474,15 @@ class EntropyEngine:
                 f"expected {self._probabilities.shape[0]} weights aligned to the "
                 f"support, got {weights.shape}"
             )
-        if np.isnan(weights).any() or (weights < 0.0).any():
+        # One pass refuses NaN (it compares false) and negative weights alike.
+        if not (weights >= 0.0).all():
             raise SelectionError("reweight weights must be non-negative numbers")
         masses = self._probabilities * weights
         total = masses.sum()
         if total <= 0.0:
             raise SelectionError("reweighting removed all probability mass")
-        self._probabilities = masses / total
+        masses /= total
+        self._probabilities = masses
         self._weighted_bits.clear()
         self.reweights += 1
 

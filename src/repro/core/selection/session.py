@@ -62,7 +62,7 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel, RecalibratedChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.entropy import entropy_bits
-from repro.core.merging import answer_likelihood_array
+from repro.core.merging import _column_likelihoods
 from repro.core.query import Query
 from repro.core.selection.base import SelectionResult, TaskSelector
 from repro.core.selection.engine import EntropyEngine
@@ -348,25 +348,26 @@ class RefinementSession:
     def merge(self, answers: AnswerSet) -> None:
         """Fold one round's answers into the posterior (Equation 3).
 
-        A pure array update: the per-row likelihoods are computed against the
-        session's fixed support and multiplied into the engine's probability
-        vector.  Invalidates the materialised posterior and every interest
-        view (they snapshot the pre-merge probabilities).  When
-        re-calibration is on, each answer's agreement with the *pre-merge*
-        posterior is recorded first — prequential scoring: the answer is
-        judged by the belief state that existed before it was folded in, so
-        it can never endorse itself — and the per-fact accuracy estimates
-        are refreshed afterwards.
+        A pure array update: the likelihoods are computed from the engine's
+        cached bit columns of the answered facts and multiplied into the
+        engine's probability vector.  Invalidates the materialised posterior
+        and every interest view (they snapshot the pre-merge probabilities).
+        When re-calibration is on, each answer's agreement with the
+        *pre-merge* posterior is read before the reweight — prequential
+        scoring: the answer is judged by the belief state that existed before
+        it was folded in, so it can never endorse itself — and counted, with
+        the per-fact accuracy estimates refreshed, only once the reweight
+        succeeded.  A merge that raises (an unknown fact, evidence that
+        removes all mass) leaves the session as it was.
         """
-        if self._recalibrate:
-            self._observe_agreement(answers)
-        weights = answer_likelihood_array(self._initial, answers, self._channel)
+        weights = _column_likelihoods(answers, self._channel, self._engine.bits)
+        agreements = self._agreements(answers) if self._recalibrate else None
         self._engine.reweight(weights)
         self._materialized = None
         self._views.clear()
         self._rounds_merged += 1
-        if self._recalibrate:
-            self._apply_recalibration()
+        if agreements is not None:
+            self._apply_recalibration(agreements)
 
     def restore_rounds_merged(self, rounds: int) -> None:
         """Declare that ``rounds`` merges happened before this session object.
@@ -389,26 +390,30 @@ class RefinementSession:
 
     # -- adaptive channel re-calibration ----------------------------------------------
 
-    def _observe_agreement(self, answers: AnswerSet) -> None:
-        """Accumulate how strongly the current posterior predicts each answer.
+    def _agreements(self, answers: AnswerSet) -> Dict[str, float]:
+        """How strongly the current posterior predicts each answer.
 
-        Called *before* the answers are merged: the probability the pre-merge
+        Read *before* the answers are merged: the probability the pre-merge
         posterior assigns to the answered value is a soft agreement count.
         Answers the accumulated evidence keeps predicting push the fact's
         channel estimate up, answers it keeps contradicting push the estimate
         toward the coin-flip floor — and an answer about a fact the posterior
         is agnostic on (marginal 0.5) contributes no signal either way.
         """
+        agreements: Dict[str, float] = {}
         for fact_id in answers:
             marginal = self.marginal(fact_id)
-            agreement = marginal if answers[fact_id] else 1.0 - marginal
+            agreements[fact_id] = marginal if answers[fact_id] else 1.0 - marginal
+        return agreements
+
+    def _apply_recalibration(self, agreements: Dict[str, float]) -> None:
+        """Count one merged round's agreements and swap a freshly estimated
+        channel overlay into selection and merging."""
+        for fact_id, agreement in agreements.items():
             self._agreement_mass[fact_id] = (
                 self._agreement_mass.get(fact_id, 0.0) + agreement
             )
             self._agreement_count[fact_id] = self._agreement_count.get(fact_id, 0) + 1
-
-    def _apply_recalibration(self) -> None:
-        """Swap a freshly estimated channel overlay into selection and merging."""
         overrides: Dict[str, float] = {}
         for fact_id, count in self._agreement_count.items():
             prior = self._base_channel.accuracy_for(fact_id)

@@ -211,6 +211,18 @@ class SessionRegistry:
             self._store.delete(session_id)
         return record
 
+    def remove_stored(self, session_id: str) -> Tuple[int, int]:
+        """Close a stored, non-resident session for good, without reviving it.
+
+        Deletes its snapshot and returns the ``(rounds_merged, spent)`` ledger
+        the snapshot recorded.
+        """
+        payload = self._store.load(session_id) if self._store is not None else None
+        if payload is None:
+            raise UnknownSessionError(f"no session {session_id!r}")
+        self._store.delete(session_id)
+        return int(payload["rounds_merged"]), int(payload["spent"])
+
     def session_ids(self) -> Tuple[str, ...]:
         return tuple(self._records)
 

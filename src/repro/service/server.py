@@ -252,6 +252,9 @@ class RefinementService:
             max_workers=executor_workers, thread_name_prefix="refinement"
         )
         self._workers: Dict[str, _SessionWorker] = {}
+        #: Revives in flight, by session id: a second request for the id
+        #: waits for the first one's event instead of making room again.
+        self._revivals: Dict[str, asyncio.Event] = {}
         self._housekeeper: "Optional[asyncio.Task]" = None
         self._closed = False
 
@@ -428,11 +431,31 @@ class RefinementService:
         return await worker.submit("posterior", None, deadline)
 
     async def close_session(self, session_id: str) -> SessionClosed:
-        """Drain the session's queue, then remove it and delete its snapshot."""
-        worker = await self._worker(session_id)
+        """Drain the session's queue, then remove it and delete its snapshot.
+
+        A session stored on disk but not resident is not revived: its ledger
+        is read from the snapshot, which is then deleted, so closing it never
+        evicts a live session to make room.
+        """
+        self._ensure_open()
+        registry = self._registry
+        while registry.peek(session_id) is None:
+            revival = self._revivals.get(session_id)
+            if revival is None:
+                rounds_merged, spent = registry.remove_stored(session_id)
+                self._metrics.sessions_closed += 1
+                return SessionClosed(
+                    session_id=session_id,
+                    rounds_merged=rounds_merged,
+                    budget_spent=spent,
+                )
+            # A revive of this id is in flight: close the revived session.
+            await revival.wait()
+            self._ensure_open()
+        worker = self._drainer(registry.get(session_id))
         await worker.stop()
         self._workers.pop(session_id, None)
-        record = self._registry.remove(session_id)
+        record = registry.remove(session_id)
         self._metrics.sessions_closed += 1
         return SessionClosed(
             session_id=session_id,
@@ -461,14 +484,36 @@ class RefinementService:
     async def _worker(self, session_id: str) -> _SessionWorker:
         self._ensure_open()
         registry = self._registry
-        if registry.peek(session_id) is None and registry.has_snapshot(session_id):
-            # A revive adds a resident session, so it makes room as a create
-            # does; an id with no snapshot falls through to its 404.
-            await self._make_room()
-        # No await from the last capacity check to here.  Raises
-        # UnknownSessionError for sessions that never existed; revives
-        # evicted/restarted sessions from their disk snapshot.
+        if registry.peek(session_id) is None:
+            await self._revive(session_id)
+        # Raises UnknownSessionError for sessions that never existed.
         return self._drainer(registry.get(session_id))
+
+    async def _revive(self, session_id: str) -> None:
+        """Make a stored session resident, one revive per id at a time.
+
+        A revive adds a resident session, so it makes room as a create does.
+        A request that finds a revive of its id in flight waits for it and
+        then uses the live session; it never makes room a second time.  An
+        id with no snapshot returns at once, to get its 404.
+        """
+        registry = self._registry
+        while registry.peek(session_id) is None:
+            revival = self._revivals.get(session_id)
+            if revival is not None:
+                await revival.wait()
+                self._ensure_open()
+                continue
+            if not registry.has_snapshot(session_id):
+                return
+            revival = self._revivals[session_id] = asyncio.Event()
+            try:
+                await self._make_room()
+                # No await from the last capacity check to here.
+                registry.get(session_id)
+            finally:
+                del self._revivals[session_id]
+                revival.set()
 
     async def _make_room(self) -> None:
         """Evict LRU idle sessions until one more fits under ``max_sessions``."""

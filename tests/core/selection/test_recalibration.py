@@ -17,7 +17,7 @@ from repro.core.engine import CrowdFusionEngine
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import GreedySelector, RefinementSession, SessionPool
 from repro.evaluation.experiment import ExperimentConfig, build_problems, run_quality_experiment
-from repro.exceptions import SelectionError
+from repro.exceptions import InvalidFactError, SelectionError
 from repro.fusion import MajorityVote
 
 
@@ -107,6 +107,53 @@ class TestRecalibrationDynamics:
         assert len(result.task_ids) >= 1
         # The engine now prices per-fact noise: its channel is the overlay.
         assert session.engine.crowd is session.channel
+
+
+class TestAFailedMergeLeavesRecalibrationUnchanged:
+    """A merge that raises counts none of its answers toward the estimates."""
+
+    def _followed_by(self, distribution, crowd, failing, answers, error):
+        disturbed = RefinementSession(distribution, crowd, runtime=RECALIBRATE)
+        with pytest.raises(error):
+            disturbed.merge(failing)
+        assert disturbed.channel is crowd
+        assert disturbed.rounds_merged == 0
+        disturbed.merge(answers)
+        undisturbed = RefinementSession(distribution, crowd, runtime=RECALIBRATE)
+        undisturbed.merge(answers)
+        return disturbed, undisturbed
+
+    def test_an_unknown_fact(self):
+        distribution = JointDistribution.independent({"a": 0.5, "b": 0.3})
+        disturbed, undisturbed = self._followed_by(
+            distribution,
+            CrowdModel(0.8),
+            AnswerSet.from_mapping({"a": True, "zzz": True}),
+            AnswerSet.from_mapping({"a": True}),
+            InvalidFactError,
+        )
+        # (0.8 · 4 + 0.5) / (4 + 1); counting the failed merge read 0.70.
+        assert undisturbed.channel.accuracy_for("a") == pytest.approx(0.74)
+        assert disturbed.channel.fact_accuracies == undisturbed.channel.fact_accuracies
+        assert np.array_equal(
+            disturbed.engine.probabilities, undisturbed.engine.probabilities
+        )
+
+    def test_evidence_that_removes_all_mass(self):
+        # a and b always agree, so a perfect crowd cannot answer a=1, b=0.
+        distribution = JointDistribution(("a", "b"), {0b00: 0.4, 0b11: 0.6})
+        disturbed, undisturbed = self._followed_by(
+            distribution,
+            CrowdModel(1.0),
+            AnswerSet.from_mapping({"a": True, "b": False}),
+            AnswerSet.from_mapping({"a": True}),
+            SelectionError,
+        )
+        assert disturbed.channel.fact_accuracies == undisturbed.channel.fact_accuracies
+        assert set(disturbed.channel.fact_accuracies) == {"a"}
+        assert np.array_equal(
+            disturbed.engine.probabilities, undisturbed.engine.probabilities
+        )
 
 
 class TestRecalibrationWiring:

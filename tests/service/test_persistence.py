@@ -250,6 +250,85 @@ class TestEviction:
 
         run(scenario())
 
+    @pytest.mark.parametrize("requests", [2, 6])
+    def test_concurrent_requests_for_an_evicted_session_revive_it_once(
+        self, tmp_path, requests
+    ):
+        # Later requests wait for the first one's revive instead of picking
+        # the same LRU victim, whose eviction is still queued.
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                views = await asyncio.gather(
+                    *(service.get_posterior(first.session_id) for _ in range(requests))
+                )
+                assert all(view == views[0] for view in views)
+                durability = service.metrics()["durability"]
+                assert durability["revivals"] == 1
+                assert durability["evictions"] == 2
+                assert service.sessions_live == 1
+                assert service.session_ids() == (first.session_id,)
+
+        run(scenario())
+
+    def test_closing_an_evicted_session_at_the_cap_evicts_nobody(self, tmp_path):
+        state_dir = tmp_path / "state"
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(state_dir), max_sessions=1
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.post_answers(first.session_id, {"f1": True})
+                second = await service.create_session(
+                    make_prior(1), CrowdModel(0.8), budget=6
+                )
+                before = dict(service.metrics()["durability"])
+                closed = await service.close_session(first.session_id)
+                # The ledger comes from the snapshot the eviction wrote.
+                assert (closed.rounds_merged, closed.budget_spent) == (1, 1)
+                assert service.session_ids() == (second.session_id,)
+                after = service.metrics()["durability"]
+                assert after["evictions"] == before["evictions"] == 1
+                assert after["snapshots_written"] == before["snapshots_written"]
+                assert after["revivals"] == 0
+                assert not (state_dir / f"{first.session_id}.json").exists()
+                with pytest.raises(UnknownSessionError):
+                    await service.get_posterior(first.session_id)
+
+        run(scenario())
+
+    def test_a_close_during_a_revive_closes_the_revived_session(self, tmp_path):
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.post_answers(first.session_id, {"f1": True})
+                await service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                view, closed = await asyncio.gather(
+                    service.get_posterior(first.session_id),
+                    service.close_session(first.session_id),
+                )
+                assert view.rounds_merged == closed.rounds_merged == 1
+                assert service.session_ids() == ()
+                durability = service.metrics()["durability"]
+                assert durability["revivals"] == 1
+                assert durability["stored_sessions"] == 1  # the other session
+                with pytest.raises(UnknownSessionError):
+                    await service.get_posterior(first.session_id)
+
+        run(scenario())
+
     def test_eviction_requires_state_dir(self):
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
             SessionRegistry(max_sessions=4)
