@@ -73,16 +73,22 @@ engine-smoke:
 chaos-smoke:
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m chaos
 
-# CI-sized exercise of the durable orchestrator: the journal/checkpoint/lock
-# primitives, the sharded sweep's serial-equivalence and crash-resume suites,
-# the service snapshot/restore + eviction suite, and the orchestration
-# benchmark scenarios (checkpoint overhead vs the in-memory fan-out, resume
-# latency) recorded into benchmarks/results/BENCH_selection.json.  Parallel
-# tests are forced on so the fork paths run even on constrained hosts.
+# CI-sized exercise of the durable --run-dir sweep (the lease coordinator
+# with local workers): the journal/checkpoint/lock primitives, the sweep's
+# serial-equivalence, resume and executor-differential suites, the service
+# snapshot/restore + eviction suite, the --run-dir chaos cases (coordinator
+# SIGKILL and torn checkpoint then --resume, a worker killed and replaced,
+# orphans gone after a coordinator SIGKILL, SIGTERM reaping the workers),
+# and the orchestration benchmark scenarios (checkpoint overhead vs the
+# in-memory fan-out, resume latency) recorded into
+# benchmarks/results/BENCH_selection.json.  Parallel tests are forced on so
+# the fork paths run even on constrained hosts.
 orchestrate-smoke:
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q \
 		tests/orchestration \
 		tests/service/test_persistence.py
+	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m chaos \
+		tests/chaos/test_orchestrator_recovery.py
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q benchmarks/bench_orchestrator.py
 
 # Boots a real refinement-service server on a loopback port, drives one full
@@ -95,15 +101,15 @@ serve-smoke:
 	$(PYTEST) -q tests/service
 	$(PYTEST) -q -m chaos tests/chaos/test_service_chaos.py
 
-# Runs one sweep on the single-host durable orchestrator and again on the
-# lease-fenced cluster coordinator with two loopback shard workers — one
-# SIGKILLed mid-lease — and asserts the cluster's curve.jsonl comes out
-# byte-identical, the kill was fenced and reassigned, and no worker
-# processes leaked.  Then the cluster suites: leases, fencing and hostile
-# peers; the coordinator's group commit judged from synced bytes only
-# (commit order, rebuilt-disk resumes, one fsync per segment of results,
-# TCP_NODELAY on both ends, injected disk faults); and the worker-SIGKILL,
-# zombie and coordinator-SIGKILL chaos cases.
+# Runs one sweep undisturbed and again on the lease coordinator with two
+# loopback workers — one SIGKILLed mid-lease — and asserts the second
+# curve.jsonl comes out byte-identical, the kill was fenced and reassigned,
+# and no worker processes leaked.  Then the cluster suites: leases, fencing,
+# local-worker replacement and hostile peers; the coordinator's group commit
+# judged from synced bytes only (commit order, rebuilt-disk resumes, one
+# fsync per segment of results, TCP_NODELAY on both ends, injected disk
+# faults); and the worker-SIGKILL, zombie and coordinator-SIGKILL chaos
+# cases.
 cluster-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.orchestration.cluster_smoke
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q \

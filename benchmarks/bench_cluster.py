@@ -2,15 +2,17 @@
 
 Two scenarios, recorded into the shared ``BENCH_selection.json`` artifact:
 
-* ``orchestration/multihost_lease_overhead_*`` — the same sweep through the
-  single-host durable orchestrator (2 fork shards, pipe dispatch) and
-  through the cluster coordinator (2 loopback worker subprocesses, leases
-  and results over JSON-lines TCP).  The curves must be identical; the
-  socket-and-lease tax on wall-clock must stay within ~15%% of the pipes.
+* ``orchestration/multihost_lease_overhead_*`` — the same sweep through
+  ``run_checkpointed_experiment`` (2 shards: the coordinator with 2 local
+  workers and its default leases) and through ``run_cluster_experiment``
+  with 2 local workers and leases of 2.  Both sides run the coordinator, so
+  the ratio is recorded, not bounded; the curves must be identical and no
+  result may be rejected.  The coordinator's cost is bounded against the
+  in-memory fan-out by ``checkpoint_overhead`` in ``bench_orchestrator.py``.
 * ``orchestration/multihost_reassignment_*`` — one worker SIGKILLed
   mid-lease; the coordinator journal's wall-clock stamps reconstruct the
   fault timeline: kill → lease fenced (EOF detection, must beat the lease
-  TTL) → fenced range re-granted to the survivor.
+  TTL) → fenced range re-granted (to the replacement or the survivor).
 """
 
 import itertools
@@ -46,10 +48,6 @@ import multiprocessing
 
 SEED = 0
 WORKERS = 2
-#: The leased TCP sweep may cost at most this factor over the single-host
-#: durable orchestrator (same fsync'd journals; the delta is the socket
-#: round-trips, heartbeat traffic and lease bookkeeping).
-MAX_LEASE_OVERHEAD = 1.15
 
 pytestmark = pytest.mark.parallel
 
@@ -71,7 +69,7 @@ def _problems(num_books=8):
 
 
 def test_lease_overhead_vs_durable_orchestrator(tmp_path):
-    """Leased TCP sweep vs fork-pipe sweep: identical curves, bounded tax."""
+    """Two lease sizes on the coordinator: identical curves, no rejections."""
     problems = _problems()
     config = ExperimentConfig(
         selector="greedy_prune_pre", k=2, budget_per_entity=12, seed=SEED
@@ -107,11 +105,10 @@ def test_lease_overhead_vs_durable_orchestrator(tmp_path):
         "suite": "orchestration",
         "description": (
             f"Budget-{config.budget_per_entity} sweep over {len(problems)} "
-            f"books: cluster coordinator ({WORKERS} loopback workers, "
-            "lease grants + results + heartbeats over JSON-lines TCP) vs "
-            "the single-host durable orchestrator on the same worker "
-            "count.  Curves are asserted identical; 'overhead' is the "
-            "socket-and-lease tax on wall-clock."
+            f"books on the lease coordinator with {WORKERS} loopback "
+            "workers: leases of 2 (run_cluster_experiment) vs the default "
+            "leases of run_checkpointed_experiment.  Curves are asserted "
+            "identical; 'lease_overhead' is recorded, not bounded."
         ),
         "entities": len(problems),
         "budget_per_entity": config.budget_per_entity,
@@ -128,9 +125,6 @@ def test_lease_overhead_vs_durable_orchestrator(tmp_path):
         {f"orchestration/multihost_lease_overhead_books{len(problems)}"
          f"_b{config.budget_per_entity}_w{WORKERS}": entry}
     )
-
-    if cpus >= WORKERS:
-        assert overhead <= MAX_LEASE_OVERHEAD, entry
 
 
 def test_reassignment_latency_after_worker_kill(tmp_path):
@@ -203,8 +197,9 @@ def test_reassignment_latency_after_worker_kill(tmp_path):
             f"{len(problems)}-entity sweep.  'detection_seconds' is kill → "
             "lease fenced (socket EOF, so it must beat the lease TTL "
             f"of {cluster.lease_ttl_s}s); 'regrant_seconds' is fence → the "
-            "orphaned range re-granted to a surviving worker.  The final "
-            "curve is asserted identical to the serial runner."
+            "orphaned range re-granted, to the dead worker's replacement or "
+            "the survivor.  The final curve is asserted identical to the "
+            "serial runner."
         ),
         "entities": len(problems),
         "budget_per_entity": config.budget_per_entity,

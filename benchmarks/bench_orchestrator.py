@@ -3,10 +3,11 @@
 Two scenarios, recorded into the shared ``BENCH_selection.json`` artifact:
 
 * ``orchestration/checkpoint_overhead_*`` — the same sweep through the
-  in-memory entity fan-out (``parallel_entities=2``, PR 5) and through the
-  durable orchestrator (2 shards, fsync'd journal + atomic checkpoints).
-  The curves must be identical; the durability tax on wall-clock must stay
-  within ~10%% of the fan-out.
+  in-memory entity fan-out (``parallel_entities=2``) and through the
+  durable ``run_checkpointed_experiment`` (the lease coordinator with 2
+  local workers: group-committed journals, atomic checkpoints and leases,
+  loopback TCP).  The curves must be identical; the durability tax on
+  wall-clock must stay within ~10%% of the fan-out.
 * ``orchestration/resume_latency_*`` — resuming an already-complete run
   directory (journal replay only, zero recomputation) against the cost of
   the full sweep, the "how fast does a crashed sweep come back" number.
@@ -34,7 +35,7 @@ from dataclasses import replace
 SEED = 0
 SHARDS = 2
 #: The durable run may cost at most this factor over the in-memory fan-out
-#: (fsync'd journal appends + one atomic checkpoint per entity).
+#: (fsync'd journals, atomic checkpoints and leases, lease round trips).
 MAX_CHECKPOINT_OVERHEAD = 1.10
 
 pytestmark = pytest.mark.parallel
@@ -88,10 +89,11 @@ def test_checkpoint_overhead_vs_entity_fanout(tmp_path):
         "suite": "orchestration",
         "description": (
             f"Budget-{config.budget_per_entity} sweep over {len(problems)} "
-            f"books: durable orchestrator ({SHARDS} shards, fsync'd journal "
-            "+ per-entity atomic checkpoints) vs the in-memory entity "
-            "fan-out on the same shard count.  Curves are asserted "
-            "identical; 'overhead' is the durability tax on wall-clock."
+            f"books: durable sweep (lease coordinator, {SHARDS} local "
+            "workers, group-committed journals + atomic checkpoints) vs "
+            "the in-memory entity fan-out on the same worker count.  Curves "
+            "are asserted identical; 'overhead' is the durability tax on "
+            "wall-clock."
         ),
         "entities": len(problems),
         "budget_per_entity": config.budget_per_entity,

@@ -288,8 +288,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             return 2
         result = report.result
     elif args.run_dir is not None:
-        # Durable orchestration: journalled, checkpointed, resumable.  Lazy
-        # import keeps plain in-memory runs free of the orchestration stack.
+        # Durable sweep on this host: the lease coordinator with local
+        # workers, journalled, checkpointed, resumable.  Lazy import keeps
+        # plain in-memory runs free of the orchestration stack.
         from repro.evaluation.reporting import CurveStream
         from repro.orchestration import OrchestratorConfig, run_checkpointed_experiment
 
@@ -467,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--curve", action="store_true", help="print the full quality curve")
     experiment.add_argument(
         "--run-dir", default=None, metavar="DIR",
-        help="run the sweep through the durable orchestrator: shard entity "
-        "trajectories across worker processes, journal every completed "
-        "entity to DIR and checkpoint atomically, so the sweep survives "
-        "kills and resumes with --resume",
+        help="run the sweep durably: lease entity trajectories to local "
+        "worker processes, journal every completed entity to DIR and "
+        "checkpoint atomically, so the sweep survives kills and resumes "
+        "with --resume",
     )
     experiment.add_argument(
         "--resume", action="store_true",
@@ -480,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--shards", type=_positive_int, default=2, metavar="N",
-        help="orchestrator worker processes (with --run-dir; default 2)",
+        help="local worker processes (with --run-dir; default 2)",
     )
     experiment.add_argument(
         "--max-attempts", type=_positive_int, default=3, metavar="N",

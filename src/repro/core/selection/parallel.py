@@ -207,8 +207,9 @@ def register_shutdown_reaper(reaper) -> None:
     registering process ever runs the reap (fork children inherit the
     registry but their pid check makes it a no-op), and the registry holds
     weak references so a reaper that is garbage collected simply drops out.
-    Child-process supervisors (the orchestrator's shard pool) register here
-    so an abnormal parent exit cannot orphan their worker processes.
+    Child-process supervisors (the lease coordinator's local worker pool)
+    register here so an abnormal parent exit cannot orphan their worker
+    processes.
     """
     _ensure_ring_guard()
     _LIVE_REAPERS.add(reaper)
@@ -224,7 +225,7 @@ def _reap_live_rings() -> None:
     owned by this process (idempotent)."""
     if os.getpid() != _GUARD_PID:
         return
-    # Child reapers first: a shard process may still hold an inherited ring
+    # Child reapers first: a worker process may still hold an inherited ring
     # mapping open, and terminating it before the unlink keeps the segment's
     # refcount honest.
     for reaper in list(_LIVE_REAPERS):

@@ -231,7 +231,7 @@ class ExperimentConfig:
           in-process run's (mutually exclusive with ``workers``).
 
         The durable sweeps (:mod:`repro.orchestration`) run every entity
-        serially inside their own shard processes and refuse both
+        serially inside their own worker processes and refuse both
         ``workers`` and ``parallel_entities``.
     """
 

@@ -1,12 +1,13 @@
-"""Multi-host cluster coordinator: lease-fenced entity ranges over TCP.
+"""The lease coordinator: the one executor of durable entity-trajectory sweeps.
 
-:func:`run_cluster_experiment` drives the same durable sweep as the
-single-host orchestrator, but across shard workers it can only reach over a
-socket — which changes the failure model completely.  A fork-pool shard that
-dies is *observable* (``os.kill`` probeable, pipe EOF); a remote worker that
-goes silent is **indistinguishable from a partitioned one that is still
-computing**.  The coordinator therefore never trusts silence and never
-trusts late arrivals:
+:func:`run_cluster_experiment` runs a durable sweep across shard workers it
+reaches over TCP: local workers it forks itself, remote ones that join with
+``crowdfusion shard-worker``, or both.  A single-host ``--run-dir`` sweep
+(:func:`~repro.orchestration.orchestrator.run_checkpointed_experiment`) is
+this coordinator on loopback with local workers only.  A worker that goes
+silent is **indistinguishable from a partitioned one that is still
+computing**, so the coordinator never trusts silence and never trusts late
+arrivals:
 
 * **Leases, not dispatches.**  Work moves as leases of contiguous
   entity-index ranges.  A lease is alive only while heartbeats keep arriving
@@ -25,12 +26,12 @@ trusts late arrivals:
   equally dead on arrival.
 * **Per-worker journals, merged deterministically.**  Accepted
   ``entity_done`` records land in ``journal-<worker>.jsonl``; coordinator
-  decisions (grants, expiries, rejections, failures, quarantines) land in
-  ``journal.jsonl``.  Resume and assembly read the
+  decisions (grants, expiries, rejections, failures, quarantines, local
+  worker exits) land in ``journal.jsonl``.  Resume and assembly read the
   whole set through :func:`~repro.orchestration.journal.merge_journals`,
-  whose per-journal torn-tail rule and payload-conflict check keep the
+  whose per-journal torn-tail rule and trajectory-conflict check keep the
   bit-identity guarantee: a migrated, resumed, or reassigned sweep produces
-  a ``curve.jsonl`` byte-identical to an undisturbed single-host run,
+  a ``curve.jsonl`` byte-identical to an undisturbed run,
   because every path converges on the same per-entity seeds and the same
   :func:`~repro.orchestration.orchestrator.assemble_result`.
 * **Group commit, once per loop turn.**  The event loop buffers every
@@ -43,12 +44,15 @@ trusts late arrivals:
   their per-entity seeds, because the journals, never the checkpoint, are
   the source of truth.
 
-Failed entities reuse the single-host retry machinery: each fenced or
-failed attempt is charged, re-enqueued with linear backoff, and quarantined
-after ``max_attempts``.  ``local_workers`` forks loopback worker
-subprocesses (context shipped copy-on-write), so the whole cluster is
-testable in one process tree; remote workers join with
-``crowdfusion shard-worker --connect HOST:PORT``.
+A failed entity costs one attempt, is re-enqueued with linear backoff, and
+is quarantined after ``max_attempts``.  A fenced lease charges only the
+entity its worker was running; the rest of its range goes back to the
+queue at the attempt it was granted.  ``local_workers`` forks loopback
+worker subprocesses (context shipped copy-on-write).  The coordinator
+watches each one's exit in its event loop and forks a replacement while
+work remains; a replacement closes every coordinator socket it inherited,
+and a local worker whose coordinator is gone exits at once.  Remote
+workers join with ``crowdfusion shard-worker --connect HOST:PORT``.
 """
 
 from __future__ import annotations
@@ -109,8 +113,8 @@ class ClusterConfig:
     Attributes
     ----------
     run_dir:
-        Per-run directory (same layout as the single-host orchestrator plus
-        ``leases.json`` and per-worker journals).
+        Per-run directory: manifest, journals, checkpoints, curve,
+        ``leases.json`` and the per-worker journals.
     host / port:
         Listener bind address; ``port=0`` picks a free port (read it back
         from :attr:`ClusterReport.port` or the coordinator's stdout line).
@@ -122,11 +126,13 @@ class ClusterConfig:
     lease_entities:
         Maximum contiguous entity indices per lease grant.
     max_attempts / retry_backoff_s / resume:
-        Exactly the single-host semantics (fenced leases charge an attempt
-        per pending entity).
+        As in :class:`~repro.orchestration.orchestrator.OrchestratorConfig`
+        (a fenced lease charges an attempt to the entity in flight only).
     local_workers:
-        Loopback worker subprocesses forked by the coordinator itself.
-        ``0`` means the sweep waits for remote workers to connect.
+        Loopback worker subprocesses forked by the coordinator itself
+        (clamped to the number of pending entities), replaced when one
+        dies while work remains.  ``0`` means the sweep waits for remote
+        workers to connect.
     """
 
     run_dir: str
@@ -196,7 +202,7 @@ class ClusterStats:
 
 @dataclass
 class ClusterReport(OrchestratorReport):
-    """Single-host report plus the cluster's fencing statistics."""
+    """The durable sweep's report plus the coordinator's fencing statistics."""
 
     stats: ClusterStats = field(default_factory=ClusterStats)
     port: int = 0
@@ -233,19 +239,38 @@ class _Lease:
 
 
 class _LocalWorkerPool:
-    """Forks and reaps the coordinator's loopback worker subprocesses."""
+    """Forks, reaps and replaces the coordinator's loopback worker subprocesses.
 
-    def __init__(self, count: int, host: str, port: int) -> None:
-        context = multiprocessing.get_context("fork")
-        self.processes = []
-        for ordinal in range(count):
-            process = context.Process(
-                target=_worker_module.local_worker_main,
-                args=(host, port, f"local-{ordinal}"),
-                daemon=True,
-            )
-            process.start()
-            self.processes.append(process)
+    Each worker gets a fresh id (``local-0``, ``local-1``, ... in fork
+    order), so a replacement journals under its own name.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self._context = multiprocessing.get_context("fork")
+        self._address = (host, port)
+        self._forked = 0
+        self.processes: List[multiprocessing.process.BaseProcess] = []
+
+    def fork(
+        self, inherited: List[socket.socket]
+    ) -> multiprocessing.process.BaseProcess:
+        """Start one worker; ``inherited`` are the coordinator's sockets."""
+        worker_id = f"local-{self._forked}"
+        self._forked += 1
+        process = self._context.Process(
+            target=_local_worker,
+            args=(inherited, *self._address, worker_id),
+            name=worker_id,
+            daemon=True,
+        )
+        process.start()
+        self.processes.append(process)
+        return process
+
+    def discard(self, process: multiprocessing.process.BaseProcess) -> None:
+        """Reap a worker that exited."""
+        process.join(timeout=1.0)
+        self.processes.remove(process)
 
     def reap_on_shutdown(self) -> None:
         for process in self.processes:
@@ -263,6 +288,22 @@ class _LocalWorkerPool:
         for process in self.processes:
             process.join(timeout=max(0.0, deadline - time.monotonic()))
         self.reap_on_shutdown()
+
+
+def _local_worker(
+    inherited: List[socket.socket], host: str, port: int, worker_id: str
+) -> None:
+    """Close the coordinator's sockets in this fork, then serve as a worker.
+
+    A copy of the listener would keep the port accepting after the
+    coordinator dies, so an orphan's redial would land in a backlog nobody
+    serves; a copy of a sibling's connection would keep that sibling from
+    ever seeing EOF.  ``local_worker_main`` is looked up at call time, so a
+    wrapper swapped in before the fork runs instead.
+    """
+    for sock in inherited:
+        sock.close()
+    _worker_module.local_worker_main(host, port, worker_id)
 
 
 def _safe_worker_name(worker: str) -> str:
@@ -328,12 +369,14 @@ class _Coordinator:
         self.selector = selectors.DefaultSelector()
         self.listener: Optional[socket.socket] = None
         self.port = 0
+        self.local_pool: Optional[_LocalWorkerPool] = None
         # Re-fence: any lease the previous coordinator incarnation granted
         # is dead the moment this one starts at a strictly higher epoch.
+        # The commit of the first grant makes the new epoch durable before
+        # any grant quotes it; an incarnation that dies sooner quoted none.
         stored = read_json(self.leases_path)
         self.epoch = int(stored["epoch"]) + 1 if stored else 1
         self.stats.epoch = self.epoch
-        self._persist_leases()
 
     # -- durability ---------------------------------------------------------------------
 
@@ -419,6 +462,65 @@ class _Coordinator:
         self.selector.register(listener, selectors.EVENT_READ, None)
         return self.port
 
+    def _conns(self) -> List[_Conn]:
+        """Every open worker connection.
+
+        The selector also holds the listener and the local workers'
+        process sentinels.
+        """
+        return [
+            key.data
+            for key in self.selector.get_map().values()
+            if isinstance(key.data, _Conn)
+        ]
+
+    def start_local_workers(self, count: int) -> None:
+        """Fork ``count`` loopback workers (published context required)."""
+        # Resolve the address once before forking, so every child inherits a
+        # warm resolver; otherwise each pays for its first lookup (a few
+        # milliseconds at start-up) when it dials.
+        socket.getaddrinfo(self.cluster.host, self.port, 0, socket.SOCK_STREAM)
+        self.local_pool = _LocalWorkerPool(self.cluster.host, self.port)
+        register_shutdown_reaper(self.local_pool)
+        for _ in range(count):
+            self._fork_local_worker()
+
+    def _fork_local_worker(self) -> str:
+        """Fork one local worker and watch its exit through the selector.
+
+        The process sentinel turns readable when the worker exits, so the
+        loop learns of a death in the same ``select`` that serves sockets.
+        """
+        assert self.local_pool is not None and self.listener is not None
+        inherited = [self.listener] + [conn.sock for conn in self._conns()]
+        process = self.local_pool.fork(inherited)
+        self.selector.register(process.sentinel, selectors.EVENT_READ, process)
+        return process.name
+
+    def _local_worker_exited(
+        self, process: multiprocessing.process.BaseProcess
+    ) -> None:
+        """Reap a local worker; fork a replacement while work remains.
+
+        A worker that held a lease also drops its connection, and that
+        EOF fences the lease; this only keeps the pool at strength,
+        whether the worker died mid-lease or before its handshake.
+        """
+        assert self.local_pool is not None
+        self.selector.unregister(process.sentinel)
+        self.local_pool.discard(process)
+        replacement = None
+        if self.queue or self.active:
+            replacement = self._fork_local_worker()
+        self._journal(
+            {
+                "type": "local_worker_exited",
+                "worker": process.name,
+                "exitcode": process.exitcode,
+                "replacement": replacement,
+            }
+        )
+
     def _send(self, conn: _Conn, message: Any) -> bool:
         """Best-effort blocking send; ``False`` means the peer is gone."""
         try:
@@ -475,7 +577,9 @@ class _Coordinator:
         Raising the global epoch *before* anything else means results the
         fenced worker sends from now on — and results any older zombie
         might still send — can never match an active ``(lease, epoch)``
-        pair again.
+        pair again.  A worker runs its range in index order, so only the
+        lowest pending index had started: it alone is charged an attempt,
+        and the rest go back to the queue at the attempt they were granted.
         """
         self.epoch += 1
         self.stats.epoch = self.epoch
@@ -500,10 +604,13 @@ class _Coordinator:
             lease.conn,
             wire.LeaseRevoked(lease.lease_id, lease.epoch, reason),
         )
-        for index in sorted(lease.pending):
+        if lease.pending:
+            in_flight, *unstarted = sorted(lease.pending)
+            for index in unstarted:
+                self.queue[index] = (lease.attempt_of.get(index, 1), 0.0)
             self._charge_failure(
-                index,
-                lease.attempt_of.get(index, 1),
+                in_flight,
+                lease.attempt_of.get(in_flight, 1),
                 f"lease {lease.lease_id} fenced ({reason})",
             )
         self._leases_due = True
@@ -711,11 +818,8 @@ class _Coordinator:
         return run
 
     def _grant_leases(self, now: float) -> None:
-        for key in list(self.selector.get_map().values()):
-            conn = key.data
-            if conn is None or conn.worker is None:
-                continue
-            if conn.lease is not None or conn.suspect:
+        for conn in self._conns():
+            if conn.worker is None or conn.lease is not None or conn.suspect:
                 continue
             run = self._pop_contiguous(now)
             if run is None:
@@ -779,8 +883,10 @@ class _Coordinator:
             for key, _events in self.selector.select(timeout):
                 if key.data is None:
                     self._accept()
-                else:
+                elif isinstance(key.data, _Conn):
                     self._read_conn(key.data)
+                else:
+                    self._local_worker_exited(key.data)
             now = time.monotonic()
             for lease in list(self.active.values()):
                 if lease.deadline <= now:
@@ -792,28 +898,32 @@ class _Coordinator:
         self._journal(
             {"type": "cluster_stats", **self.stats.to_payload()}
         )
+        # Workers need nothing from the last commit, so they shut down while
+        # it syncs.
+        for conn in self._conns():
+            self._send(conn, wire.Shutdown("sweep complete"))
         self._checkpoint_due = self._leases_due = True
         self._commit("complete")
-        for key in list(self.selector.get_map().values()):
-            conn = key.data
-            if conn is not None:
-                self._send(conn, wire.Shutdown("sweep complete"))
 
     def close(self) -> None:
+        """Close every socket, then let the local workers exit and reap them.
+
+        A worker that missed its ``Shutdown`` sees EOF on its connection
+        and a refused redial, and exits by itself.
+        """
         for key in list(self.selector.get_map().values()):
-            conn = key.data
-            target = conn.sock if conn is not None else key.fileobj
-            try:
-                self.selector.unregister(target)
-            except (KeyError, ValueError):  # pragma: no cover
-                pass
-            try:
-                target.close()
-            except OSError:  # pragma: no cover
-                pass
+            self.selector.unregister(key.fileobj)
+            if isinstance(key.fileobj, socket.socket):
+                try:
+                    key.fileobj.close()
+                except OSError:  # pragma: no cover
+                    pass
         self.selector.close()
         for writer in self.worker_journals.values():
             writer.close()
+        if self.local_pool is not None:
+            unregister_shutdown_reaper(self.local_pool)
+            self.local_pool.join()
 
 
 def run_cluster_experiment(
@@ -857,22 +967,18 @@ def run_cluster_experiment(
             coordinator = _Coordinator(
                 list(problems), config, cluster, budget_overrides, state, journal
             )
-            pool: Optional[_LocalWorkerPool] = None
+            pending = state.pending_indices()
             try:
                 port = coordinator.bind()
                 if on_listening is not None:
                     on_listening(port)
-                if cluster.local_workers:
+                local_workers = min(cluster.local_workers, len(pending))
+                if local_workers:
                     _worker_module._CLUSTER_CONTEXT = (
                         list(problems), config, budget_overrides
                     )
-                    _worker_module._INHERITED_LISTENER = coordinator.listener
-                    pool = _LocalWorkerPool(
-                        cluster.local_workers, cluster.host, port
-                    )
-                    _worker_module._INHERITED_LISTENER = None
-                    register_shutdown_reaper(pool)
-                if state.pending_indices():
+                    coordinator.start_local_workers(local_workers)
+                if pending:
                     coordinator.run()
                 else:
                     coordinator._checkpoint("complete")
@@ -881,10 +987,7 @@ def run_cluster_experiment(
                     )
             finally:
                 coordinator.close()
-                if pool is not None:
-                    unregister_shutdown_reaper(pool)
-                    pool.join()
-                    _worker_module._CLUSTER_CONTEXT = None
+                _worker_module._CLUSTER_CONTEXT = None
 
         result, quarantined = assemble_result(
             state, problems, config, run_dir, stream

@@ -1,12 +1,13 @@
-"""End-to-end smoke test of the cluster orchestrator (``make cluster-smoke``).
+"""End-to-end smoke test of the lease coordinator (``make cluster-smoke``).
 
-Runs the same sweep twice: once on the single-host durable orchestrator,
-once on the lease-fenced cluster with two forked loopback workers — one of
-which is SIGKILLed mid-lease by a watcher thread.  Asserts the cluster's
-``curve.jsonl`` is byte-identical to the undisturbed single-host run, that
-the kill was detected and the lease fenced, and that no worker processes
-leaked (``multiprocessing.active_children()`` is empty).  Exits non-zero on
-any failure, so it slots straight into CI.
+Runs the same sweep twice: once undisturbed through
+``run_checkpointed_experiment`` (the coordinator with one local worker),
+once through ``run_cluster_experiment`` with two forked loopback workers —
+one of which is SIGKILLed mid-lease by a watcher thread.  Asserts the
+disturbed run's ``curve.jsonl`` is byte-identical to the undisturbed one,
+that the kill was detected and the lease fenced, and that no worker
+processes leaked (``multiprocessing.active_children()`` is empty).  Exits
+non-zero on any failure, so it slots straight into CI.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def main() -> int:
         report = run_checkpointed_experiment(
             problems, config, OrchestratorConfig(run_dir=single_dir, shards=1)
         )
-        print(f"single-host sweep: {report.completed}/{len(problems)} entities")
+        print(f"undisturbed sweep: {report.completed}/{len(problems)} entities")
 
         cluster_dir = os.path.join(scratch, "cluster")
         cluster = ClusterConfig(
@@ -123,8 +124,8 @@ def main() -> int:
         single_curve = Path(single_dir, CURVE_NAME).read_bytes()
         cluster_curve = Path(cluster_dir, CURVE_NAME).read_bytes()
         if single_curve != cluster_curve:
-            print("FAIL: cluster curve is not byte-identical to single-host",
-                  file=sys.stderr)
+            print("FAIL: cluster curve is not byte-identical to the "
+                  "undisturbed sweep", file=sys.stderr)
             return 1
         print(f"curves byte-identical ({len(single_curve)} bytes)")
 

@@ -22,8 +22,11 @@ instead of leaking.
 The same entry point serves both deployment shapes: a remote process started
 by ``crowdfusion shard-worker --connect HOST:PORT`` (problems and config
 rebuilt from its own CLI flags, checked via the fingerprint digest) and a
-local subprocess forked by the coordinator for loopback parallelism
-(context inherited copy-on-write through :data:`_CLUSTER_CONTEXT`).
+local subprocess forked by the coordinator (context inherited copy-on-write
+through :data:`_CLUSTER_CONTEXT`).  Local workers are how every
+``--run-dir`` sweep runs on one host.  A local worker has no reconnect
+window: its coordinator is its parent, so a lost connection that one dial
+cannot restore means the parent is gone, and the worker exits at once.
 """
 
 from __future__ import annotations
@@ -49,13 +52,6 @@ from repro.testing import faults
 _CLUSTER_CONTEXT: Optional[
     Tuple[List[EntityProblem], ExperimentConfig, Dict[str, int]]
 ] = None
-
-#: The coordinator's listening socket, published just before local workers
-#: fork.  Each child must close its inherited copy first thing: a leaked
-#: listen fd would keep the port accepting handshakes after the coordinator
-#: dies, so orphaned workers would "reconnect" into a backlog nobody serves
-#: and block in recv() forever instead of expiring their reconnect window.
-_INHERITED_LISTENER: Optional[socket.socket] = None
 
 #: How long a disconnected worker keeps trying to reach the coordinator
 #: before giving up — the window that lets workers survive a coordinator
@@ -270,16 +266,19 @@ def _serve(
 
 
 def local_worker_main(host: str, port: int, worker_id: str) -> None:
-    """Entry point of a coordinator-forked local worker subprocess."""
-    if _INHERITED_LISTENER is not None:
-        try:
-            _INHERITED_LISTENER.close()
-        except OSError:  # pragma: no cover - nothing left to leak
-            pass
+    """Entry point of a coordinator-forked local worker subprocess.
+
+    The coordinator closed its own sockets in this process before calling
+    here.  With no reconnect window, a dropped connection gets one redial:
+    it succeeds while the coordinator lives, and is refused once it died.
+    """
     assert _CLUSTER_CONTEXT is not None, "local worker forked without context"
     problems, config, budget_overrides = _CLUSTER_CONTEXT
     try:
-        run_shard_worker(problems, config, budget_overrides, host, port, worker_id)
+        run_shard_worker(
+            problems, config, budget_overrides, host, port, worker_id,
+            reconnect_window_s=0.0,
+        )
     except OrchestrationError:
         # An orphaned or refused local worker must exit quietly: the
         # coordinator (or its successor) owns all reporting.

@@ -170,11 +170,12 @@ def merge_journals(paths: Sequence[str]) -> List[Dict[str, Any]]:
 
     ``entity_done`` records are deduplicated by entity index — duplicated
     delivery is legal at this layer (a retransmit racing its original, a
-    reassigned range completed twice) as long as the payloads agree; the
-    first copy in merge order wins.  Conflicting payloads for the same
-    entity mean the bit-identity guarantee is already broken upstream and
-    raise :class:`OrchestrationError` rather than silently assembling a
-    curve from diverging trajectories.
+    reassigned range completed twice) as long as the trajectories agree;
+    the first copy in merge order wins.  The copies may differ in who ran
+    them and at which attempt, but conflicting ``trajectory`` payloads for
+    the same entity mean the bit-identity guarantee is already broken
+    upstream and raise :class:`OrchestrationError` rather than silently
+    assembling a curve from diverging trajectories.
     """
     merged: List[Dict[str, Any]] = []
     done: Dict[int, Dict[str, Any]] = {}
@@ -184,7 +185,7 @@ def merge_journals(paths: Sequence[str]) -> List[Dict[str, Any]]:
                 index = int(record["index"])
                 previous = done.get(index)
                 if previous is not None:
-                    if previous.get("payload") != record.get("payload"):
+                    if previous.get("trajectory") != record.get("trajectory"):
                         raise OrchestrationError(
                             f"conflicting entity_done payloads for entity "
                             f"{index} across merged journals (second copy in "

@@ -125,7 +125,7 @@ class FaultPlan:
     stale_lock_at_acquire: Optional[int] = None
     stale_limit: int = 1
 
-    #: Kill the orchestrator shard process executing the nth entity
+    #: Kill the shard worker process executing the nth entity
     #: trajectory (``os._exit`` — no cleanup, like an OOM kill mid-entity).
     #: The entity sequence is global across every shard and every respawn.
     kill_shard_at_entity: Optional[int] = None
@@ -232,7 +232,7 @@ class _FaultState:
         self._worker_dispatches = context.Value("i", 0)
         self._kills_left = context.Value("i", plan.kill_limit)
         self._hangs_left = context.Value("i", plan.hang_limit)
-        # Shard-side events run in orchestrator shard processes forked after
+        # Shard-side events run in shard worker processes forked after
         # install (or inheriting REPRO_FAULTS); the entity sequence and the
         # kill/fail budgets must be one global ledger across all of them.
         self._shard_entities = context.Value("i", 0)

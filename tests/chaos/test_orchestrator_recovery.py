@@ -1,12 +1,15 @@
-"""Chaos suite: the durable orchestrator under real kills.
+"""Chaos suite: the durable ``--run-dir`` sweep under real kills.
 
-The crash-resume contract asserted from the outside: an orchestrator
+A ``--run-dir`` sweep runs on the lease coordinator with local workers.
+The crash-resume contract asserted from the outside: a coordinator
 SIGKILLed mid-sweep (and one that dies mid-checkpoint-write) resumes via
-``--resume`` to a curve bit-identical to an undisturbed run; a shard
-SIGKILLed mid-entity is replaced and the entity retried to the exact same
-trajectory; an orchestrator SIGTERM reaps its shard processes through the
-process-wide shutdown guard; and a hard-killed service restores sessions
-from its snapshot directory within 1e-12.
+``--resume`` to a curve bit-identical to an undisturbed run, and its
+orphaned workers exit at once, also after a replacement was forked; a
+worker killed mid-entity costs that entity one attempt, is replaced, and
+the entity is retried to the exact same trajectory; a coordinator SIGTERM
+reaps its local workers through the process-wide shutdown guard; and a
+hard-killed service restores sessions from its snapshot directory within
+1e-12.
 """
 
 import asyncio
@@ -26,7 +29,8 @@ from repro.evaluation import build_problems, run_quality_experiment
 from repro.evaluation.experiment import ExperimentConfig
 from repro.fusion import ModifiedCRH
 from repro.orchestration import OrchestratorConfig, run_checkpointed_experiment
-from repro.orchestration.journal import read_records
+from repro.orchestration.cluster import worker_journal_paths
+from repro.orchestration.journal import merge_journals, read_records
 from repro.testing import faults
 from repro.testing.faults import KILL_EXITCODE, FaultPlan
 
@@ -82,19 +86,38 @@ def _run_cli(run_dir, *extra, env_extra=None, wait=True):
     return process
 
 
-def _wait_for_journal(run_dir, kind, minimum=1, timeout=120.0):
-    journal = Path(run_dir) / "journal.jsonl"
+def _records(run_dir):
+    """The coordinator and worker journals, merged as resume reads them."""
+    if not Path(run_dir).exists():
+        return []
+    return merge_journals(
+        [str(Path(run_dir) / "journal.jsonl")] + worker_journal_paths(str(run_dir))
+    )
+
+
+def _wait_for_journal(run_dir, kind, minimum=1, timeout=120.0, **fields):
+    """Wait for ``minimum`` records of ``kind`` whose ``fields`` match."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if journal.exists():
-            count = sum(
-                1 for record in read_records(str(journal))
-                if record.get("type") == kind
-            )
-            if count >= minimum:
-                return count
+        count = sum(
+            1 for record in _records(run_dir)
+            if record.get("type") == kind
+            and all(record.get(key) == value for key, value in fields.items())
+        )
+        if count >= minimum:
+            return count
         time.sleep(0.05)
-    raise AssertionError(f"journal never reached {minimum} {kind!r} records")
+    raise AssertionError(
+        f"journals never reached {minimum} {kind!r} records matching {fields}"
+    )
+
+
+def _assert_no_process_left(token, timeout=10.0):
+    """No process whose command line names ``token`` survives ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while _processes_mentioning(token) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert _processes_mentioning(token) == [], "orphaned workers"
 
 
 def _curve(run_dir):
@@ -132,15 +155,12 @@ class TestOrchestratorKill:
         assert done_before < 8, "the kill landed after the sweep finished"
         assert not (crashed / "curve.jsonl").exists()
 
-        # Orphaned shards notice the dead parent (EOF on the command pipe)
-        # and exit on their own — the one in flight once its stalled entity
-        # finishes.
-        deadline = time.monotonic() + 10.0
-        while _processes_mentioning(str(crashed)) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert _processes_mentioning(str(crashed)) == [], "orphaned shards"
+        # Orphaned workers see their connection drop, find the port refused
+        # on their one redial and exit at once — the one mid-entity once its
+        # stalled entity finishes.
+        _assert_no_process_left(str(crashed))
         # Resume: the SIGKILLed process's stale lock is taken over, the
-        # journal replayed, the remaining entities recomputed.
+        # journals replayed, the remaining entities recomputed.
         code, out, err = _run_cli(crashed, "--resume")
         assert code == 0, err
         _assert_identical_curves(_curve(undisturbed), _curve(crashed))
@@ -151,21 +171,45 @@ class TestOrchestratorKill:
         assert code == 0, err
 
         crashed = tmp_path / "crashed"
-        # The fifth atomic write (lock + manifest precede the per-entity
-        # checkpoints) is torn in half and the process dies on the injected
-        # error — the worst instant to die, mid-durability-write.
+        # The fifth atomic write lands in the commit of the first completed
+        # lease, after its results were synced (the manifest, the opening
+        # checkpoint and the grants' leases.json come first).  It is torn in
+        # half and the process dies on the injected error — the worst
+        # instant to die, mid-durability-write.
         code, _, err = _run_cli(
             crashed,
             env_extra={"REPRO_FAULTS": "torn_write_at_checkpoint=5"},
         )
         assert code != 0
         assert "injected torn checkpoint" in err
-        assert (crashed / "checkpoint.json.tmp").exists()
+        assert list(crashed.glob("*.tmp")), "no torn write was left behind"
 
         code, _, err = _run_cli(crashed, "--resume")
         assert code == 0, err
         _assert_identical_curves(_curve(undisturbed), _curve(crashed))
-        assert not (crashed / "checkpoint.json.tmp").exists()
+        assert not list(crashed.glob("*.tmp"))
+
+    def test_sigkill_after_a_replacement_leaves_no_process(self, tmp_path):
+        run_dir = tmp_path / "run"
+        # The first entity kills its worker; once the replacement holds the
+        # fenced range, the coordinator is SIGKILLed.  The replacement closed
+        # every coordinator socket it inherited, so each orphan sees EOF.
+        victim = _run_cli(
+            run_dir, wait=False,
+            env_extra={
+                "REPRO_FAULTS": "kill_shard_at_entity=1,delay_entity_seconds=0.5"
+            },
+        )
+        try:
+            _wait_for_journal(run_dir, "lease_granted", worker="local-2")
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30)
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+                victim.wait()
+        assert victim.returncode == -signal.SIGKILL
+        _assert_no_process_left(str(run_dir))
 
 
 class TestShardKill:
@@ -189,9 +233,10 @@ class TestShardKill:
             selector="greedy_prune_pre", k=3, budget_per_entity=9, seed=11
         )
         serial = run_quality_experiment(problems, config)
-        # Entity dispatch #2 hard-kills its shard (fork-shared counter, one
-        # budget unit): the orchestrator must charge the attempt, fork a
-        # replacement shard and retry the entity to the exact trajectory.
+        # Entity dispatch #2 hard-kills its worker (fork-shared counter, one
+        # budget unit): the coordinator must fence the lease, charge the one
+        # entity in flight, fork a replacement worker and retry the entity
+        # to the exact trajectory.
         faults.install(FaultPlan(kill_shard_at_entity=2, shard_kill_limit=1))
         report = run_checkpointed_experiment(
             problems,
@@ -203,70 +248,47 @@ class TestShardKill:
         for theirs, ours in zip(serial.points, report.result.points):
             assert theirs == ours
         assert report.quarantined == ()
-        failed = [
-            record
-            for record in read_records(str(tmp_path / "run" / "journal.jsonl"))
-            if record["type"] == "entity_failed"
-        ]
+        records = read_records(str(tmp_path / "run" / "journal.jsonl"))
+        failed = [record for record in records if record["type"] == "entity_failed"]
         assert len(failed) == 1
-        assert f"exitcode {KILL_EXITCODE}" in failed[0]["error"]
-        # No shard (or replacement) processes leak past the run.
+        assert "fenced" in failed[0]["error"]
+        exits = [
+            record for record in records if record["type"] == "local_worker_exited"
+        ]
+        assert [record["exitcode"] for record in exits] == [KILL_EXITCODE]
+        # No worker (or replacement) processes leak past the run.
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
 
 
-class TestSigtermReapsShards:
-    #: Child that forks an orchestrator shard pool, registers it with the
-    #: process-wide shutdown guard, reports the shard pids, then idles.
-    CHILD = """\
-import time
-from repro.core.selection.parallel import register_shutdown_reaper
-from repro.orchestration import worker as worker_module
-from repro.orchestration.orchestrator import _ShardPool
-worker_module._SHARD_CONTEXT = ([], None, {})
-pool = _ShardPool(2)
-register_shutdown_reaper(pool)
-print(" ".join(str(s.process.pid) for s in pool.shards), flush=True)
-time.sleep(60)
-"""
-
-    @staticmethod
-    def _alive(pid):
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        return True
-
-    def test_sigterm_reaps_registered_shard_pool(self):
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        child = subprocess.Popen(
-            [sys.executable, "-c", self.CHILD],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
+class TestSigtermReapsLocalWorkers:
+    def test_sigterm_reaps_the_local_workers(self, tmp_path):
+        run_dir = tmp_path / "run"
+        # Each entity stalls for 20 s, so an orphan would outlive the 5 s
+        # deadline below: only the shutdown guard's reap can pass it.
+        coordinator = _run_cli(
+            run_dir, wait=False,
+            env_extra={"REPRO_FAULTS": "delay_entity_seconds=20"},
         )
         try:
-            pids = [int(token) for token in child.stdout.readline().split()]
-            assert len(pids) == 2
-            assert all(self._alive(pid) for pid in pids)
-            child.send_signal(signal.SIGTERM)
-            child.wait(timeout=15)
+            _wait_for_journal(run_dir, "lease_granted", minimum=2)
+            workers = [
+                pid for pid in _processes_mentioning(str(run_dir))
+                if pid != coordinator.pid
+            ]
+            assert len(workers) == 2
+            coordinator.send_signal(signal.SIGTERM)
+            coordinator.wait(timeout=15)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait()
         # The guard chains to the default disposition (exit reads SIGTERM)
-        # after reaping the registered pool: no shard survives the parent.
-        assert child.returncode == -signal.SIGTERM
-        deadline = time.monotonic() + 10.0
-        while any(self._alive(pid) for pid in pids) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        leaked = [pid for pid in pids if self._alive(pid)]
-        assert not leaked, f"SIGTERM leaked shard processes: {leaked}"
+        # after reaping the registered pool: no worker survives the parent.
+        assert coordinator.returncode == -signal.SIGTERM
+        _assert_no_process_left(str(run_dir), timeout=5.0)
 
 
 class TestServiceRestartRecovery:

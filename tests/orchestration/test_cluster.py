@@ -10,9 +10,12 @@ in ``tests/chaos/test_cluster_recovery.py``.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -541,6 +544,44 @@ class TestHostilePeers:
         assert_identical_curves(clean_sweep, report.result)
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the main thread once ``seconds`` pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def eight_problems():
+    corpus = generate_book_corpus(
+        BookCorpusConfig(num_books=8, num_sources=10, max_sources_per_book=8, seed=3)
+    )
+    return build_problems(
+        corpus.database,
+        corpus.gold,
+        ModifiedCRH(),
+        difficulties=corpus.difficulties,
+        max_facts_per_entity=8,
+    )
+
+
+def coordinator_records(run_dir, kind):
+    return [
+        record
+        for record in read_records(os.path.join(run_dir, JOURNAL_NAME))
+        if record["type"] == kind
+    ]
+
+
 @pytest.mark.parallel
 class TestLocalWorkerPool:
     def test_forked_local_workers_match_serial_runner(self, problems, tmp_path):
@@ -553,6 +594,52 @@ class TestLocalWorkerPool:
         assert_identical_curves(serial, report.result)
         assert report.completed == len(problems)
         assert report.stats.results_rejected == 0
-        import multiprocessing
+        assert multiprocessing.active_children() == []
 
+    def test_a_fenced_lease_charges_only_the_entity_in_flight(
+        self, eight_problems, tmp_path
+    ):
+        # Two leases of four; the second entity any worker starts kills its
+        # worker.  Only that entity had started, so only it is charged —
+        # and with one attempt allowed, only it is quarantined.  The rest
+        # of the fenced range runs on the survivor or the replacement.
+        faults.install(FaultPlan(kill_shard_at_entity=2))
+        report = run_cluster_experiment(
+            eight_problems,
+            CONFIG,
+            cluster_config(
+                tmp_path, lease_entities=4, max_attempts=1, local_workers=2
+            ),
+        )
+        run_dir = str(tmp_path / "run")
+        failed = coordinator_records(run_dir, "entity_failed")
+        assert len(failed) == 1
+        assert "fenced" in failed[0]["error"]
+        assert len(report.quarantined) == 1
+        assert report.quarantined[0][0] == failed[0]["entity"]
+        assert report.completed == len(eight_problems) - 1
+        assert multiprocessing.active_children() == []
+
+    def test_dead_local_workers_are_replaced(self, eight_problems, tmp_path):
+        # Both original workers die mid-lease.  Without replacements no
+        # worker would be left for the fenced ranges and the sweep would
+        # never return.
+        serial = run_quality_experiment(eight_problems, CONFIG)
+        faults.install(FaultPlan(kill_shard_at_entity=2, shard_kill_limit=2))
+        with deadline(60.0):
+            report = run_cluster_experiment(
+                eight_problems,
+                CONFIG,
+                cluster_config(tmp_path, lease_entities=4, local_workers=2),
+            )
+        faults.uninstall()
+        assert_identical_curves(serial, report.result)
+        assert report.quarantined == ()
+        run_dir = str(tmp_path / "run")
+        assert len(coordinator_records(run_dir, "entity_failed")) == 2
+        exits = coordinator_records(run_dir, "local_worker_exited")
+        assert len(exits) == 2
+        for record in exits:
+            assert record["exitcode"] == faults.KILL_EXITCODE
+            assert record["replacement"] is not None
         assert multiprocessing.active_children() == []

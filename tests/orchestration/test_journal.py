@@ -13,9 +13,11 @@ import json
 import multiprocessing
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.evaluation.experiment import EntityTrajectory, ExperimentConfig
 from repro.exceptions import OrchestrationError
 from repro.orchestration.journal import (
     JournalWriter,
@@ -25,6 +27,8 @@ from repro.orchestration.journal import (
     read_json,
     read_records,
 )
+from repro.orchestration.orchestrator import entity_done_record
+from repro.orchestration.worker import trajectory_to_payload
 from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan
 
@@ -120,6 +124,23 @@ def _write_journal(path, records, torn_tail=None):
             handle.write(torn_tail)
 
 
+def _done_record(initial_utility, attempt, worker):
+    """An ``entity_done`` record of entity 0, built as the coordinator does."""
+    problems = [SimpleNamespace(entity="e0")]  # the record reads only .entity
+    trajectory = EntityTrajectory(
+        initial_cost=0,
+        initial_utility=initial_utility,
+        initial_labels={"f0": True},
+        rounds=[],
+    )
+    record = entity_done_record(
+        problems, ExperimentConfig(seed=1), 0, attempt,
+        trajectory_to_payload(trajectory),
+    )
+    record["worker"] = worker
+    return record
+
+
 class TestMergeJournals:
     def test_merges_in_deterministic_path_order(self, tmp_path):
         _write_journal(tmp_path / "journal-b.jsonl", [{"type": "x", "who": "b"}])
@@ -164,18 +185,50 @@ class TestMergeJournals:
         )
         assert merged == [record]
 
+    def test_real_copies_from_two_workers_are_deduplicated(self, tmp_path):
+        # A reassigned range completed twice: the copies differ in worker
+        # and attempt, and agree in the trajectory.
+        first = _done_record(initial_utility=-1.0, attempt=1, worker="local-0")
+        second = _done_record(initial_utility=-1.0, attempt=2, worker="local-1")
+        _write_journal(tmp_path / "journal-local-0.jsonl", [first])
+        _write_journal(tmp_path / "journal-local-1.jsonl", [second])
+        merged = merge_journals(
+            [
+                str(tmp_path / "journal-local-0.jsonl"),
+                str(tmp_path / "journal-local-1.jsonl"),
+            ]
+        )
+        assert merged == [first]
+
     def test_conflicting_duplicate_payloads_refuse_loudly(self, tmp_path):
         _write_journal(
             tmp_path / "journal-a.jsonl",
-            [{"type": "entity_done", "index": 3, "payload": {"u": 0.5}}],
+            [{"type": "entity_done", "index": 3, "trajectory": {"u": 0.5}}],
         )
         _write_journal(
             tmp_path / "journal-b.jsonl",
-            [{"type": "entity_done", "index": 3, "payload": {"u": 0.75}}],
+            [{"type": "entity_done", "index": 3, "trajectory": {"u": 0.75}}],
         )
         with pytest.raises(OrchestrationError, match="conflicting entity_done"):
             merge_journals(
                 [str(tmp_path / "journal-a.jsonl"), str(tmp_path / "journal-b.jsonl")]
+            )
+        # The same conflict between two records as the coordinator writes
+        # them: the trajectory sits under "trajectory", not "payload".
+        _write_journal(
+            tmp_path / "journal-local-0.jsonl",
+            [_done_record(initial_utility=-1.0, attempt=1, worker="local-0")],
+        )
+        _write_journal(
+            tmp_path / "journal-local-1.jsonl",
+            [_done_record(initial_utility=-2.0, attempt=1, worker="local-1")],
+        )
+        with pytest.raises(OrchestrationError, match="conflicting entity_done"):
+            merge_journals(
+                [
+                    str(tmp_path / "journal-local-0.jsonl"),
+                    str(tmp_path / "journal-local-1.jsonl"),
+                ]
             )
 
     def test_missing_journals_merge_empty(self, tmp_path):

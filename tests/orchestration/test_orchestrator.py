@@ -25,7 +25,8 @@ from repro.orchestration import (
     OrchestratorConfig,
     run_checkpointed_experiment,
 )
-from repro.orchestration.journal import read_json, read_records
+from repro.orchestration.cluster import worker_journal_paths
+from repro.orchestration.journal import merge_journals, read_json, read_records
 from repro.orchestration.orchestrator import CHECKPOINT_NAME, JOURNAL_NAME
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
@@ -111,7 +112,9 @@ class TestRunDirectory:
         )
         done = [
             record
-            for record in read_records(os.path.join(run_dir, JOURNAL_NAME))
+            for record in merge_journals(
+                [os.path.join(run_dir, JOURNAL_NAME)] + worker_journal_paths(run_dir)
+            )
             if record["type"] == "entity_done"
         ]
         assert len(done) == len(problems)
@@ -190,7 +193,10 @@ class TestResume:
             os.path.join(undisturbed_dir, "run.json"),
             os.path.join(crashed_dir, "run.json"),
         )
-        records = read_records(os.path.join(undisturbed_dir, JOURNAL_NAME))
+        records = merge_journals(
+            [os.path.join(undisturbed_dir, JOURNAL_NAME)]
+            + worker_journal_paths(undisturbed_dir)
+        )
         done = [r for r in records if r["type"] == "entity_done"][:2]
         with open(os.path.join(crashed_dir, JOURNAL_NAME), "w", encoding="utf-8") as fh:
             import json
