@@ -42,8 +42,11 @@ bench-smoke:
 
 # CI-sized exercise of the entropy engine's candidate scan and the packed
 # wide-fact representation: unit + property suites for the bit planes
-# (against Python-int masks), JointDistribution and the scale generator on
-# planes past 63 facts, the wide-fact refinement suite (the planes engine vs.
+# (against Python-int masks), JointDistribution (its array-backed
+# distributions included: every dict read of an array-built distribution
+# against the 5.2 eager dict, bit for bit, and no dict built by the array
+# paths, under tracemalloc) and the scale generator (sort-based dedup,
+# arrays pinned to 5.2's digests) on planes past 63 facts, the wide-fact refinement suite (the planes engine vs.
 # the test tree's object-dtype mask oracle and greedy_reference), the
 # batched-scan differential suite (the offset-bincount scan of small
 # supports vs. the per-candidate NumPy and scalar oracles, block

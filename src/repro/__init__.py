@@ -64,7 +64,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "5.2.0"
+__version__ = "5.3.0"
 
 __all__ = [
     # value types

@@ -3,9 +3,16 @@
 A :class:`JointDistribution` is the paper's "output set with probabilities"
 (Table II): a probability distribution over complete truth assignments of an
 ordered set of facts.  We store only the support (assignments with non-zero
-probability) as a mapping from bitmask to probability, which keeps entropy,
-marginalisation and Bayesian updates linear in the support size — the same
-``|O|`` the paper's complexity analysis is written in.
+probability), which keeps entropy, marginalisation and Bayesian updates linear
+in the support size — the same ``|O|`` the paper's complexity analysis is
+written in.  The support has two forms, each built from the other on first
+read: a ``mask -> probability`` dict and aligned NumPy arrays
+(:meth:`JointDistribution.support_arrays`).  A distribution built from a dict
+holds the dict and builds the arrays when a vectorised path asks for them; one
+built from arrays (:meth:`JointDistribution.from_support_arrays`) holds only
+the arrays and builds the dict on the first dict read, so a large array-built
+support never pays for one Python int and one float per row that nothing
+reads.
 """
 
 from __future__ import annotations
@@ -62,6 +69,11 @@ class JointDistribution:
 
     __slots__ = ("_fact_ids", "_positions", "_probs", "_arrays")
 
+    #: Each of the two support forms is ``None`` until it is first read, and
+    #: at least one of them is always set.
+    _probs: Optional[Dict[int, float]]
+    _arrays: Optional[Tuple[np.ndarray, np.ndarray]]
+
     def __init__(
         self,
         fact_ids: Sequence[str],
@@ -107,7 +119,7 @@ class JointDistribution:
                     "(pass normalise=True to rescale)"
                 )
             self._probs = dict(cleaned)
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._arrays = None
 
     # -- constructors -------------------------------------------------------------
 
@@ -196,6 +208,8 @@ class JointDistribution:
     @property
     def support_size(self) -> int:
         """Number of assignments with non-zero probability (``|O|`` in the paper)."""
+        if self._arrays is not None:
+            return self._arrays[1].shape[0]
         return len(self._probs)
 
     def position(self, fact_id: str) -> int:
@@ -217,25 +231,36 @@ class JointDistribution:
             mask = assignment
         else:
             mask = mask_from_bools(assignment)
-        return self._probs.get(mask, 0.0)
+        return self._mapping().get(mask, 0.0)
 
     def items(self) -> Iterator[Tuple[int, float]]:
         """Iterate over ``(mask, probability)`` pairs of the support."""
-        return iter(self._probs.items())
+        return iter(self._mapping().items())
 
     def support(self) -> Tuple[int, ...]:
         """Return the assignment masks in the support."""
-        return tuple(self._probs)
+        return tuple(self._mapping())
 
     def as_dict(self) -> Dict[int, float]:
         """Return a copy of the underlying ``mask -> probability`` mapping."""
-        return dict(self._probs)
+        return dict(self._mapping())
 
     def assignments(self) -> Iterator[Tuple[Assignment, float]]:
         """Iterate over ``(Assignment, probability)`` pairs of the support."""
         width = self.num_facts
-        for mask, probability in self._probs.items():
+        for mask, probability in self._mapping().items():
             yield Assignment(mask=mask, width=width), probability
+
+    def _mapping(self) -> Dict[int, float]:
+        """The ``mask -> probability`` dict, built from the arrays on first read.
+
+        Keys and values follow the arrays' row order, so the dict iterates
+        exactly like :meth:`support_arrays`.
+        """
+        if self._probs is None:
+            masks, masses = self._arrays
+            self._probs = dict(zip(_mask_keys(masks), masses.tolist()))
+        return self._probs
 
     # -- contiguous-array fast path ------------------------------------------------
 
@@ -262,7 +287,7 @@ class JointDistribution:
         return self._arrays
 
     def _use_arrays(self) -> bool:
-        return len(self._probs) >= _VECTOR_MIN_SUPPORT
+        return self.support_size >= _VECTOR_MIN_SUPPORT
 
     # -- information-theoretic quantities ------------------------------------------
 
@@ -270,7 +295,7 @@ class JointDistribution:
         """Shannon entropy ``H(F)`` of the joint distribution, in bits."""
         if self._use_arrays():
             return entropy_bits(self.support_arrays()[1])
-        return entropy_of(self._probs.values())
+        return entropy_of(self._mapping().values())
 
     def marginal(self, fact_id: str) -> float:
         """Marginal probability that ``fact_id`` is true: ``P(f_k) = Σ_{o ∈ O_k} P(o)``."""
@@ -278,7 +303,7 @@ class JointDistribution:
         if self._use_arrays():
             masks, probs = self.support_arrays()
             return float(probs[bit_column(masks, position).astype(bool)].sum())
-        return sum(p for mask, p in self._probs.items() if mask >> position & 1)
+        return sum(p for mask, p in self._mapping().items() if mask >> position & 1)
 
     def marginals(self) -> Dict[str, float]:
         """Marginal truth probabilities of every fact."""
@@ -289,7 +314,7 @@ class JointDistribution:
                 for position, fact_id in enumerate(self._fact_ids)
             }
         totals = [0.0] * self.num_facts
-        for mask, probability in self._probs.items():
+        for mask, probability in self._mapping().items():
             for position in range(self.num_facts):
                 if mask >> position & 1:
                     totals[position] += probability
@@ -308,7 +333,7 @@ class JointDistribution:
             sub_probs = dict(zip(kept.tolist(), grouped[kept].tolist()))
             return JointDistribution(fact_ids, sub_probs, normalise=True)
         probs_map: Dict[int, float] = {}
-        for mask, probability in self._probs.items():
+        for mask, probability in self._mapping().items():
             sub = project_mask(mask, positions)
             probs_map[sub] = probs_map.get(sub, 0.0) + probability
         return JointDistribution(fact_ids, probs_map, normalise=True)
@@ -334,7 +359,7 @@ class JointDistribution:
             probs_map = dict(zip(_mask_keys(masks[keep]), probs[keep].tolist()))
             return JointDistribution(self._fact_ids, probs_map, normalise=True)
         probs_map = {}
-        for mask, probability in self._probs.items():
+        for mask, probability in self._mapping().items():
             if all(bool(mask >> position & 1) == value for position, value in checks):
                 probs_map[mask] = probability
         if not probs_map:
@@ -351,7 +376,7 @@ class JointDistribution:
         """
         probs = {
             mask: probability * weights.get(mask, 1.0)
-            for mask, probability in self._probs.items()
+            for mask, probability in self._mapping().items()
         }
         return JointDistribution(self._fact_ids, probs, normalise=True)
 
@@ -388,7 +413,8 @@ class JointDistribution:
         (masses may be unnormalised; rows with exactly zero mass are
         dropped).  ``masks`` may be in either :meth:`support_arrays` layout;
         the filtered arrays, in the layout of the fact width, become the
-        cached :meth:`support_arrays`.
+        cached :meth:`support_arrays`.  No ``mask -> probability`` dict is
+        built here: the first dict read builds it from those arrays.
         """
         fact_ids = tuple(fact_ids)
         masses = np.asarray(masses, dtype=np.float64)
@@ -413,7 +439,7 @@ class JointDistribution:
         instance._positions = {
             fact_id: position for position, fact_id in enumerate(fact_ids)
         }
-        instance._probs = dict(zip(_mask_keys(masks), masses.tolist()))
+        instance._probs = None
         instance._arrays = (masks, masses)
         return instance
 
@@ -421,7 +447,8 @@ class JointDistribution:
 
     def map_assignment(self) -> Assignment:
         """Return the maximum-a-posteriori assignment."""
-        best_mask = max(self._probs, key=lambda mask: self._probs[mask])
+        probs = self._mapping()
+        best_mask = max(probs, key=lambda mask: probs[mask])
         return Assignment(mask=best_mask, width=self.num_facts)
 
     def predicted_labels(self, threshold: float = 0.5) -> Dict[str, bool]:
@@ -440,20 +467,20 @@ class JointDistribution:
 
     def copy(self) -> "JointDistribution":
         """Return an independent copy of this distribution."""
-        return JointDistribution(self._fact_ids, dict(self._probs), normalise=True)
+        return JointDistribution(self._fact_ids, dict(self._mapping()), normalise=True)
 
     def allclose(self, other: "JointDistribution", tolerance: float = 1e-9) -> bool:
         """Return whether two distributions agree on fact order and probabilities."""
         if self._fact_ids != other._fact_ids:
             return False
-        masks = set(self._probs) | set(other._probs)
+        mine, theirs = self._mapping(), other._mapping()
         return all(
-            abs(self._probs.get(mask, 0.0) - other._probs.get(mask, 0.0)) <= tolerance
-            for mask in masks
+            abs(mine.get(mask, 0.0) - theirs.get(mask, 0.0)) <= tolerance
+            for mask in set(mine) | set(theirs)
         )
 
     def __repr__(self) -> str:
         return (
             f"JointDistribution(facts={len(self._fact_ids)}, "
-            f"support={len(self._probs)}, entropy={self.entropy():.4f})"
+            f"support={self.support_size}, entropy={self.entropy():.4f})"
         )

@@ -140,7 +140,9 @@ class SelectionState:
         Per-support-row projection onto the selected tasks; the most recently
         selected task occupies the least significant bit.
     combined:
-        Per-support-row bincount key ``(cell << width) | projection``.
+        Per-support-row bincount key ``(cell << width) | projection``; the
+        very ``projection`` array for engines without interest cells.  Both
+        arrays are read-only, since states and engines share them.
     table:
         Noise-convolved mass table of shape ``(num_cells, 2**width)``:
         ``table[c, a]`` is the joint probability of interest cell ``c`` and
@@ -290,8 +292,12 @@ class EntropyEngine:
             interest_sub = project_columns(self._masks, interest_positions)
             _, cell_index = np.unique(interest_sub, return_inverse=True)
             cell_index = cell_index.astype(np.int64)
-            return cell_index, int(cell_index.max()) + 1
-        return np.zeros(self._masks.shape[0], dtype=np.int64), 1
+            num_cells = int(cell_index.max()) + 1
+        else:
+            cell_index, num_cells = np.zeros(self._masks.shape[0], dtype=np.int64), 1
+        # Selection states share it as their empty-set key.
+        cell_index.setflags(write=False)
+        return cell_index, num_cells
 
     @property
     def distribution(self) -> JointDistribution:
@@ -461,7 +467,16 @@ class EntropyEngine:
         untouched, so all structural caches stay valid — only the per-fact
         ``weighted_bits`` products are invalidated.  Rows whose mass reaches
         exactly zero are kept (every consumer ignores non-positive mass),
-        preserving row alignment for later reweights.
+        preserving row alignment for later reweights.  ``weights`` is only
+        read; a reweight that raises leaves the engine as it was.
+        """
+        self._reweight_owned(np.array(weights, dtype=np.float64))
+
+    def _reweight_owned(self, weights: np.ndarray) -> None:
+        """:meth:`reweight` by a fresh float64 column the caller gives up.
+
+        The product is taken in ``weights`` itself (``w·p`` is ``p·w`` bit
+        for bit), which saves a session merge one support-sized array.
         """
         if self._is_view:
             raise SelectionError(
@@ -477,7 +492,7 @@ class EntropyEngine:
         # One pass refuses NaN (it compares false) and negative weights alike.
         if not (weights >= 0.0).all():
             raise SelectionError("reweight weights must be non-negative numbers")
-        masses = self._probabilities * weights
+        masses = np.multiply(weights, self._probabilities, out=weights)
         total = masses.sum()
         if total <= 0.0:
             raise SelectionError("reweighting removed all probability mass")
@@ -519,13 +534,16 @@ class EntropyEngine:
         cell_mass = np.bincount(
             self._cell_index, weights=self._probabilities, minlength=self._num_cells
         )
+        projection = np.zeros(self._masks.shape[0], dtype=np.int64)
+        projection.setflags(write=False)
         return SelectionState(
             task_ids=(),
             width=0,
             entropy=0.0,
             joint_entropy=entropy_bits(cell_mass),
-            projection=np.zeros(self._masks.shape[0], dtype=np.int64),
-            combined=self._cell_index.copy(),
+            projection=projection,
+            # With one cell the key is the projection (cell 0 shifts to 0).
+            combined=projection if self._num_cells == 1 else self._cell_index,
             table=cell_mass.reshape(self._num_cells, 1),
             bit_accuracies=None if self._uniform is not None else np.empty(0),
         )
@@ -704,7 +722,12 @@ class EntropyEngine:
         table[:, 0::2] = answer_false
         table[:, 1::2] = answer_true
         projection = (state.projection << 1) | self.bits(fact_id)
-        combined = (self._cell_index << width) | projection
+        projection.setflags(write=False)
+        if self._num_cells == 1:
+            combined = projection
+        else:
+            combined = (self._cell_index << width) | projection
+            combined.setflags(write=False)
         if state.bit_accuracies is None:
             bit_accuracies = None
         else:

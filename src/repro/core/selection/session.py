@@ -362,7 +362,8 @@ class RefinementSession:
         """
         weights = _column_likelihoods(answers, self._channel, self._engine.bits)
         agreements = self._agreements(answers) if self._recalibrate else None
-        self._engine.reweight(weights)
+        # The likelihood column is fresh and ours: the engine reweights in it.
+        self._engine._reweight_owned(weights)
         self._materialized = None
         self._views.clear()
         self._rounds_merged += 1

@@ -9,7 +9,8 @@ the service session snapshot store:
   with one ``fsync``.  Either way a record either made it to disk whole or
   the reader sees (at most) one torn trailing line, which it silently
   drops — exactly the state a crash between ``write`` and ``fsync`` can
-  leave behind.
+  leave behind.  Opening a writer cuts that torn line off first, so the
+  next append starts on a line of its own.
 * :func:`atomic_write_json` / :func:`read_json` — tmp-write, fsync, rename,
   directory-fsync checkpoints.  ``rename`` is atomic on POSIX, so a reader
   observes either the previous checkpoint or the new one, never a torn file;
@@ -81,6 +82,7 @@ class JournalWriter:
 
     def __init__(self, path: str) -> None:
         self.path = path
+        _end_on_whole_line(path)
         self._handle = open(path, "a", encoding="utf-8")
         self._pending: List[str] = []
 
@@ -124,6 +126,44 @@ class JournalWriter:
         self.close()
 
 
+def _decode_record(line: bytes) -> Dict[str, Any]:
+    """One journal line as its record; ``ValueError`` when the line is torn."""
+    record = decode_json_line(line)
+    if not isinstance(record, dict):
+        raise ValueError("a journal record must be a JSON object")
+    return record
+
+
+def _end_on_whole_line(path: str) -> None:
+    """Make an existing journal end with a newline before appending to it.
+
+    The bytes after the last newline are what a crash mid-append left.
+    When they are torn, :func:`read_records` drops them, and so does this
+    function; an append onto them would glue its record to the torn line
+    and turn it into mid-file corruption.  When they decode to a whole
+    record, :func:`read_records` keeps it, and this function adds its
+    newline.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        data = handle.read()
+        start = data.rfind(b"\n") + 1
+        tail = data[start:]
+        if not tail:
+            return
+        try:
+            _decode_record(tail)
+        except ValueError:
+            handle.truncate(start)
+        else:
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def read_records(path: str) -> List[Dict[str, Any]]:
     """Read every whole record from a journal, dropping a torn trailing line.
 
@@ -144,10 +184,7 @@ def read_records(path: str) -> List[Dict[str, Any]]:
     records: List[Dict[str, Any]] = []
     for position, line in enumerate(lines):
         try:
-            record = decode_json_line(line)
-            if not isinstance(record, dict):
-                raise ValueError("a journal record must be a JSON object")
-            records.append(record)
+            records.append(_decode_record(line))
         except ValueError:
             if position == len(lines) - 1:
                 break  # torn trailing line from a crash mid-append

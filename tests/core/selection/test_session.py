@@ -234,6 +234,50 @@ class TestEngineReweight:
         assert after == pytest.approx(0.6 / 1.3)
         assert engine.reweights == 1
 
+    def test_reweight_leaves_the_callers_weights_alone(self):
+        dist = JointDistribution.independent({"a": 0.3, "b": 0.6})
+        engine = EntropyEngine(dist, CrowdModel(0.8))
+        weights = np.where(engine.bits("a") == 1, 2.0, 1.0)
+        kept = weights.copy()
+        engine.reweight(weights)
+        assert np.array_equal(weights, kept)
+        assert not np.shares_memory(engine.probabilities, weights)
+
+    def test_a_reweight_that_removes_all_mass_changes_nothing(self):
+        dist = JointDistribution.independent({"a": 0.3, "b": 0.6})
+        engine = EntropyEngine(dist, CrowdModel(0.8))
+        engine.weighted_bits("a")
+        before = engine.probabilities.copy()
+        for reweight in (engine.reweight, engine._reweight_owned):
+            with pytest.raises(SelectionError, match="all probability mass"):
+                reweight(np.zeros(dist.support_size))
+            assert np.array_equal(engine.probabilities, before)
+            assert engine.reweights == 0
+            assert "a" in engine._weighted_bits
+
+
+class TestSelectionStateArrays:
+    def test_one_cell_states_share_the_projection(self):
+        dist = JointDistribution.independent({"a": 0.3, "b": 0.6, "c": 0.5})
+        engine = EntropyEngine(dist, CrowdModel(0.8))
+        state = engine.initial_state()
+        for fact_id in ("b", "a", None):
+            assert state.combined is state.projection
+            with pytest.raises(ValueError):
+                state.projection[0] = 1
+            if fact_id is not None:
+                state = engine.extend(state, fact_id)
+
+    def test_interest_cell_keys_are_read_only(self):
+        dist = JointDistribution.independent({"a": 0.3, "b": 0.6, "c": 0.5})
+        engine = EntropyEngine(dist, CrowdModel(0.8), interest_ids=["c"])
+        state = engine.extend(engine.initial_state(), "a")
+        cells = engine.initial_state().combined
+        assert np.array_equal(state.combined, (cells << 1) | state.projection)
+        for array in (cells, state.projection, state.combined):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
 
 class TestSessionPool:
     def test_pool_lifecycle(self):

@@ -1,14 +1,18 @@
 """Unit tests for JointDistribution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.answers import AnswerSet
+from repro.core.bitplanes import unpack_planes
 from repro.core.crowd import CrowdModel
 from repro.core.distribution import JointDistribution, entropy_of
-from repro.core.selection import RefinementSession
+from repro.core.merging import merge_answers
+from repro.core.selection import GreedySelector, RefinementSession
+from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
 from repro.exceptions import InvalidDistributionError, InvalidFactError
 
 
@@ -337,3 +341,208 @@ class TestWideFactSets:
         answers = AnswerSet.from_mapping({plain.task_ids[0]: True})
         posterior = merge_answers(dist, answers, crowd)
         assert posterior.support_size <= dist.support_size
+
+
+def eager_dict(masks, masses):
+    """The ``mask -> probability`` dict 5.2's ``from_support_arrays`` built.
+
+    Zero masses filtered out, the rest normalised by their sum, keys in row
+    order: the expression 5.2 evaluated on every array-built distribution.
+    """
+    masses = np.asarray(masses, dtype=np.float64)
+    keep = masses > 0.0
+    masks, masses = masks[keep], masses[keep]
+    masses = masses / masses.sum()
+    keys = unpack_planes(masks) if masks.ndim == 2 else masks.tolist()
+    return dict(zip(keys, masses.tolist()))
+
+
+def exact(value):
+    """``value`` with every float as its hex form, so ``==`` compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, exact(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(item) for item in value]
+    return value
+
+
+def support_case(num_facts, rows, seed):
+    """``(fact_ids, masks, masses)`` with unique masks and a few zero masses.
+
+    Up to 63 facts the masks are an ``int64`` column, beyond that packed
+    uint64 bit planes; both are the layouts ``from_support_arrays`` keeps.
+    """
+    rng = np.random.default_rng(seed)
+    if num_facts <= 63:
+        masks = rng.choice(1 << num_facts, size=rows, replace=False).astype(np.int64)
+    else:
+        masks = rng.integers(0, 1 << 64, size=(rows, 2), dtype=np.uint64)
+        masks[:, 1] &= np.uint64((1 << (num_facts - 64)) - 1)
+        assert np.unique(masks, axis=0).shape[0] == rows
+    masses = rng.uniform(0.05, 1.0, size=rows)
+    masses[[1, rows // 2]] = 0.0
+    return tuple(f"f{i}" for i in range(num_facts)), masks, masses
+
+
+#: Array-built supports: above and below the array path's 32-row threshold,
+#: on both mask layouts (rows counted before two zero masses are dropped).
+SUPPORT_CASES = {
+    "int64-48rows": (10, 48, 1),
+    "int64-12rows": (5, 12, 2),
+    "planes-48rows": (70, 48, 3),
+    "planes-12rows": (70, 12, 4),
+}
+
+#: Every read that goes through the ``mask -> probability`` dict, whatever the
+#: support size, as a function of the distribution and its support keys.
+DICT_READS = {
+    "items": lambda dist, keys: list(dist.items()),
+    "support": lambda dist, keys: dist.support(),
+    "as_dict": lambda dist, keys: dist.as_dict(),
+    "probability": lambda dist, keys: [dist.probability(key) for key in keys]
+    + [dist.probability(max(keys) + 1)],
+    "assignments": lambda dist, keys: [
+        (assignment.mask, assignment.width, probability)
+        for assignment, probability in dist.assignments()
+    ],
+    "map_assignment": lambda dist, keys: dist.map_assignment().mask,
+    "copy": lambda dist, keys: dist.copy().as_dict(),
+    "allclose": lambda dist, keys: dist.allclose(
+        JointDistribution(
+            dist.fact_ids,
+            dict(zip(keys, dist.support_arrays()[1].tolist())),
+            normalise=False,
+        ),
+        tolerance=0.0,
+    ),
+    "reweight": lambda dist, keys: dist.reweight({keys[0]: 3.0, keys[-1]: 0.5}).as_dict(),
+    # Past 24 kept facts marginalisation takes the dict path at any size.
+    "marginalize-30": lambda dist, keys: dist.marginalize(dist.fact_ids[:30]).as_dict(),
+}
+
+#: Reads that take the dict path below 32 rows and the array path above.
+SMALL_DICT_READS = {
+    "entropy": lambda dist, keys: dist.entropy(),
+    "marginal": lambda dist, keys: dist.marginal(dist.fact_ids[-1]),
+    "marginals": lambda dist, keys: dist.marginals(),
+    "marginalize": lambda dist, keys: dist.marginalize(dist.fact_ids[:3]).as_dict(),
+    "condition": lambda dist, keys: dist.condition(
+        {dist.fact_ids[0]: bool(keys[0] & 1)}
+    ).as_dict(),
+}
+
+#: ``(case, read)`` pairs: every dict read on every support, and the
+#: size-dependent reads on the supports their facts fit.
+LAZY_READS = [
+    (case, read)
+    for case in sorted(SUPPORT_CASES)
+    for read in sorted(DICT_READS) + sorted(SMALL_DICT_READS)
+    if read != "marginalize-30" or SUPPORT_CASES[case][0] >= 30
+]
+
+
+class TestLazyDict:
+    """An array-built distribution holds no ``mask -> probability`` dict until
+    a dict read, and that read builds 5.2's eager dict: same keys, same
+    order, same float bits."""
+
+    @staticmethod
+    def build(case):
+        fact_ids, masks, masses = support_case(*SUPPORT_CASES[case])
+        dist = JointDistribution.from_support_arrays(fact_ids, masks, masses)
+        return dist, eager_dict(masks, masses)
+
+    @pytest.mark.parametrize("case, read", LAZY_READS)
+    def test_dict_reads_match_the_eager_dict(self, case, read):
+        reader = DICT_READS.get(read) or SMALL_DICT_READS[read]
+        dist, eager = self.build(case)
+        keys = list(eager)
+        # The reference holds the eager dict itself (normalise=False copies
+        # every mass as is), so its dict paths read exactly what 5.2 read.
+        reference = JointDistribution(dist.fact_ids, eager, normalise=False)
+        assert exact(reference.as_dict()) == exact(eager)
+        assert dist._probs is None
+        assert exact(reader(dist, keys)) == exact(reader(reference, keys))
+        dict_read = read in DICT_READS or dist.support_size < 32
+        assert (dist._probs is not None) == dict_read
+        if dict_read:
+            assert exact(dist._probs) == exact(eager)
+
+    @pytest.mark.parametrize("case", ["int64-48rows", "planes-48rows"])
+    def test_array_reads_build_no_dict(self, case):
+        dist, eager = self.build(case)
+        assert dist.support_size == len(eager) >= 32
+        masks, probabilities = dist.support_arrays()
+        assert probabilities.tolist() == list(eager.values())
+        dist.entropy()
+        dist.marginal(dist.fact_ids[0])
+        dist.predicted_labels()
+        sub = dist.marginalize(dist.fact_ids[:4])
+        conditioned = dist.condition({dist.fact_ids[0]: bool(next(iter(eager)) & 1)})
+        crowd = CrowdModel(0.8)
+        posterior = merge_answers(dist, AnswerSet.from_mapping({dist.fact_ids[1]: True}), crowd)
+        reweighted = dist.reweight_array(np.full(dist.support_size, 2.0))
+        assert f"support={len(eager)}," in repr(dist)
+        assert dist._probs is None
+        assert posterior._probs is None and reweighted._probs is None
+        # Results built from dicts keep their dicts, as before.
+        assert sub._probs is not None and conditioned._probs is not None
+
+    def test_large_array_paths_allocate_no_dict(self):
+        def run(rows, seed):
+            dist = generate_scale_distribution(
+                ScaleCorpusConfig(num_facts=48, support_size=rows, seed=seed)
+            )
+            assert dist.support_size == rows
+            dist.support_arrays()
+            dist.entropy()
+            dist.marginals()
+            repr(dist)
+            session = RefinementSession(dist, CrowdModel(0.8))
+            result = GreedySelector().select_with_session(session, 3)
+            session.merge(
+                AnswerSet.from_mapping(
+                    {task: position % 2 == 0 for position, task in enumerate(result.task_ids)}
+                )
+            )
+            session.utility()
+            assert session.distribution.support_size == rows
+            return dist, session
+
+        def python_bytes():
+            # Domain 0 holds Python objects; NumPy traces array buffers in a
+            # domain of its own.
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(inclusive=True, domain=0)]
+            )
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        run(1 << 12, 1)[1].close()  # first-call caches stay out of the count
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            objects_before = python_bytes()
+            total_before = tracemalloc.get_traced_memory()[0]
+            dist, session = run(1 << 16, 11)
+            retained = tracemalloc.get_traced_memory()[0] - total_before
+            objects = python_bytes() - objects_before
+            masks, probabilities = dist.support_arrays()
+            array_bytes = masks.nbytes + probabilities.nbytes
+            dict_before = python_bytes()
+            items = list(dist.items())
+            dict_objects = python_bytes() - dict_before
+        finally:
+            if started:
+                tracemalloc.stop()
+            session.close()
+        # The engine and the materialised posterior hold a few
+        # support-sized arrays; the eager dicts held ~12x the arrays' bytes
+        # of Python objects on top.
+        assert retained < 4 * array_bytes
+        assert objects < array_bytes / 8
+        # The measurement sees a dict: the first dict read builds one.
+        assert dict_objects > 4 * array_bytes
+        assert exact(items) == exact(list(eager_dict(masks, probabilities).items()))

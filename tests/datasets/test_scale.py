@@ -1,12 +1,18 @@
 """The scale-corpus generator: shape, determinism, and regime edge cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.bitplanes import unpack_planes
 from repro.core.crowd import CrowdModel
 from repro.core.selection import GreedySelector
-from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
+from repro.datasets.scale import (
+    ScaleCorpusConfig,
+    _sorted_unique,
+    generate_scale_distribution,
+)
 from repro.exceptions import DatasetError
 
 
@@ -87,3 +93,47 @@ class TestGeneration:
         assert unpack_planes(masks) == list(dist.support())
         result = GreedySelector().select(dist, CrowdModel(0.8), 2)
         assert len(result.task_ids) == 2
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_np_unique_on_draws_with_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        draws = rng.integers(0, 200, size=500, dtype=np.int64)
+        expected = np.unique(draws)
+        assert expected.size < draws.size
+        unique = _sorted_unique(draws)
+        assert unique.dtype == expected.dtype
+        assert np.array_equal(unique, expected)
+
+    @pytest.mark.parametrize("values", [[], [7]], ids=["empty", "one"])
+    def test_edge_sizes(self, values):
+        draws = np.array(values, dtype=np.int64)
+        unique = _sorted_unique(draws)
+        assert unique.dtype == np.int64
+        assert np.array_equal(unique, np.unique(draws))
+
+
+#: ``support_arrays()`` digests of generated distributions, recorded with
+#: the 5.2 generator (``np.unique`` dedup): the dense regime, a sparse config
+#: whose dedup loop runs twice and trims an overshoot, and bit planes.
+PINNED_DIGESTS = {
+    (10, 600, 3): "5c1f8831c2ca6cb5a166d9bbd1d7f5a1fdff2440641fbe56ff3bc70eb44baec4",
+    (12, 1500, 4): "bbf4f59ac8d50df64b5323d91d0b04644c604100e3a99ebb33031a26d3bf9b53",
+    (70, 2000, 5): "d167a0eb43df4fb7d4ddb88e1f378c40d8871d9f3e340e7e0a132e4dc6545375",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_DIGESTS), ids=str)
+def test_generated_arrays_are_pinned(shape):
+    num_facts, support_size, seed = shape
+    dist = generate_scale_distribution(
+        ScaleCorpusConfig(num_facts=num_facts, support_size=support_size, seed=seed)
+    )
+    masks, probabilities = dist.support_arrays()
+    digest = hashlib.sha256()
+    digest.update(str(masks.dtype).encode())
+    digest.update(str(masks.shape).encode())
+    digest.update(masks.tobytes())
+    digest.update(probabilities.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[shape]

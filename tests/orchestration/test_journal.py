@@ -12,13 +12,19 @@ import errno
 import json
 import multiprocessing
 import os
+import shutil
 import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.datasets import BookCorpusConfig, generate_book_corpus
+from repro.evaluation import build_problems
 from repro.evaluation.experiment import EntityTrajectory, ExperimentConfig
 from repro.exceptions import OrchestrationError
+from repro.fusion import ModifiedCRH
+from repro.orchestration import OrchestratorConfig, run_checkpointed_experiment
+from repro.orchestration.cluster import worker_journal_paths
 from repro.orchestration.journal import (
     JournalWriter,
     RunLock,
@@ -27,7 +33,12 @@ from repro.orchestration.journal import (
     read_json,
     read_records,
 )
-from repro.orchestration.orchestrator import entity_done_record
+from repro.orchestration.orchestrator import (
+    CURVE_NAME,
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+    entity_done_record,
+)
 from repro.orchestration.worker import trajectory_to_payload
 from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan
@@ -101,6 +112,43 @@ class TestJournal:
             handle.write(b'\n{"type": "b"}\n')
         with pytest.raises(OrchestrationError, match="corrupt at line 2"):
             read_records(path)
+
+    @pytest.mark.parametrize(
+        "torn_tail", ['{"type": "c", "tr', "[1, 2]"], ids=["torn", "not-an-object"]
+    )
+    def test_appends_after_a_torn_tail_read_back_whole(self, tmp_path, torn_tail):
+        path = tmp_path / "journal.jsonl"
+        _write_journal(path, [{"type": "a"}, {"type": "b"}], torn_tail=torn_tail)
+        for resume in range(2):
+            with JournalWriter(str(path)) as journal:
+                journal.append({"type": "c", "resume": resume})
+                journal.append({"type": "d", "resume": resume})
+        assert read_records(str(path)) == [
+            {"type": "a"},
+            {"type": "b"},
+            {"type": "c", "resume": 0},
+            {"type": "d", "resume": 0},
+            {"type": "c", "resume": 1},
+            {"type": "d", "resume": 1},
+        ]
+
+    def test_a_journal_of_one_torn_line_is_emptied(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"type": "a", "tr', encoding="utf-8")
+        with JournalWriter(str(path)) as journal:
+            journal.append({"type": "b"})
+        assert read_records(str(path)) == [{"type": "b"}]
+
+    def test_a_whole_record_missing_its_newline_is_kept(self, tmp_path):
+        # The reader keeps a trailing line that decodes, so the writer
+        # finishes it with its newline instead of cutting it.
+        path = tmp_path / "journal.jsonl"
+        whole = {"type": "b"}
+        _write_journal(path, [{"type": "a"}], torn_tail=json.dumps(whole))
+        assert read_records(str(path)) == [{"type": "a"}, whole]
+        with JournalWriter(str(path)) as journal:
+            journal.append({"type": "c"})
+        assert read_records(str(path)) == [{"type": "a"}, whole, {"type": "c"}]
 
     def test_enospc_fault_raises_oserror_before_writing(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -357,3 +405,41 @@ class TestRunLockTakeoverRace:
         # racers displaced — proof it observed the winner's fresh lock.
         assert f"locked by live process {winner_pid}" in refusal
         assert not os.path.exists(lock_path), "winner released cleanly"
+
+
+@pytest.mark.parallel
+def test_a_sweep_journal_with_a_torn_tail_resumes_twice(tmp_path):
+    """Each resume of a ``--run-dir`` sweep whose ``journal.jsonl`` a crash
+    tore writes the undisturbed run's ``curve.jsonl``, byte for byte."""
+    corpus = generate_book_corpus(
+        BookCorpusConfig(num_books=5, num_sources=8, max_sources_per_book=6, seed=3)
+    )
+    problems = build_problems(
+        corpus.database, corpus.gold, ModifiedCRH(), max_facts_per_entity=6
+    )
+    config = ExperimentConfig(selector="greedy", k=2, budget_per_entity=4, seed=11)
+    undisturbed = str(tmp_path / "undisturbed")
+    run_checkpointed_experiment(
+        problems, config, OrchestratorConfig(run_dir=undisturbed, shards=2)
+    )
+    with open(os.path.join(undisturbed, CURVE_NAME), "rb") as handle:
+        curve = handle.read()
+
+    # Two entities done, then the torn tail of the next append.
+    crashed = str(tmp_path / "crashed")
+    os.makedirs(crashed)
+    shutil.copy(os.path.join(undisturbed, MANIFEST_NAME), crashed)
+    records = merge_journals(
+        [os.path.join(undisturbed, JOURNAL_NAME)] + worker_journal_paths(undisturbed)
+    )
+    done = [record for record in records if record["type"] == "entity_done"][:2]
+    _write_journal(
+        os.path.join(crashed, JOURNAL_NAME), done, torn_tail='{"type": "entity_do'
+    )
+    for _ in range(2):
+        report = run_checkpointed_experiment(
+            problems, config, OrchestratorConfig(run_dir=crashed, shards=2, resume=True)
+        )
+        assert report.completed == len(problems)
+        with open(os.path.join(crashed, CURVE_NAME), "rb") as handle:
+            assert handle.read() == curve

@@ -6,7 +6,7 @@ from repro import core, correlation, crowdsim, datasets, evaluation, fusion
 
 class TestTopLevelExports:
     def test_version_string(self):
-        assert repro.__version__ == "5.2.0"
+        assert repro.__version__ == "5.3.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
