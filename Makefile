@@ -29,7 +29,10 @@ bench:
 # (2-CPU runners included): the full parallel equivalence suites — one-shot
 # and multi-round session pools, pools shared across engines, entity
 # fan-out, CLI flags — plus one tiny session-pool benchmark scenario,
-# keeping the fork paths exercised outside manual multi-core runs.
+# keeping the fork paths exercised outside manual multi-core runs, and the
+# pace floor: a warm 2-worker session on the 2^20-row scale corpus must keep
+# pace with a serial one (pooled/serial <= 1.25 on two usable CPUs, <= 2.0
+# on one), select for select.
 bench-smoke:
 	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "parallel and not slow" \
 		tests/core/selection/test_parallel.py \
@@ -37,8 +40,9 @@ bench-smoke:
 		tests/core/selection/test_multiplex.py \
 		tests/evaluation/test_parallel_entities.py \
 		tests/test_cli.py
-	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "parallel and not slow" \
-		benchmarks/bench_selection_hotpath.py -k session_pool_smoke
+	REPRO_FORCE_PARALLEL_TESTS=1 $(PYTEST) -q -m "not slow" \
+		benchmarks/bench_selection_hotpath.py \
+		-k "session_pool_smoke or keeps_pace_with_the_serial_scan"
 
 # CI-sized exercise of the entropy engine's candidate scan and the packed
 # wide-fact representation: unit + property suites for the bit planes
@@ -52,7 +56,11 @@ bench-smoke:
 # supports vs. the per-candidate NumPy and scalar oracles, block
 # independence), the histogram-scan suite (the per-slice histogram grouping
 # of large supports, forced on every batched-scan case and engaging on its
-# own past 2^12 rows, vs. the scalar oracle, greedy_reference and the pool),
+# own past 2^12 rows, vs. the scalar oracle, greedy_reference and the pool:
+# pooled scans equal to serial ones as float hex, answer tables included,
+# for shuffled candidate lists and for a worker that sat out dispatches;
+# chunks of whole mask slices, one scored block per chunk and none in the
+# parent; pooled greedy and greedy_lazy rounds equal to serial ones),
 # the merge-oracle suite (count-table and factor-gather likelihoods, session
 # merges and merge_answers vs. the 5.0 per-row merge kept in the test tree,
 # bit for bit on both mask layouts), and the wide_facts benchmark scenario.

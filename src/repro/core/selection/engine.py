@@ -182,15 +182,49 @@ class CandidateScan:
         fact_ids: Tuple[str, ...],
         entropies: List[float],
         joint_entropies: List[float],
-        blocks: List[Tuple[int, np.ndarray, np.ndarray]],
+        blocks: List[Tuple[Sequence[int], np.ndarray, np.ndarray]],
     ):
         self.state = state
         self.fact_ids = fact_ids
         self.entropies = entropies
         self.joint_entropies = joint_entropies
-        #: ``(first candidate index, answer_false, answer_true)`` per kept
-        #: block; the tables are ``(block, cells, 2^width)`` arrays.
+        #: ``(candidate indices, answer_false, answer_true)`` per kept block:
+        #: row ``r`` of the ``(block, cells, 2^width)`` tables belongs to
+        #: candidate ``indices[r]`` (a ``range`` for an in-process block; any
+        #: order for a block a pool worker scored).
         self._blocks = blocks
+
+    @classmethod
+    def _gather(
+        cls,
+        state: SelectionState,
+        fact_ids: Tuple[str, ...],
+        parts: Sequence[
+            Tuple[Sequence[int], List[float], List[float], List[tuple]]
+        ],
+    ) -> "CandidateScan":
+        """One scan of ``fact_ids`` from the scans of disjoint sub-lists.
+
+        Each part is ``(indices, entropies, joint_entropies, blocks)`` of one
+        sub-scan, whose ``i``-th candidate is ``fact_ids[indices[i]]``.
+        Tables are kept while they fit :data:`_SCAN_BLOCK_MAX_ENTRIES` in
+        total, as :meth:`EntropyEngine.scan` keeps its own.
+        """
+        entropies = [0.0] * len(fact_ids)
+        joint_entropies = [0.0] * len(fact_ids)
+        blocks: List[Tuple[Sequence[int], np.ndarray, np.ndarray]] = []
+        kept = 0
+        for indices, part_entropies, part_joints, part_blocks in parts:
+            for index, entropy, joint in zip(indices, part_entropies, part_joints):
+                entropies[index] = entropy
+                joint_entropies[index] = joint
+            for rows, answer_false, answer_true in part_blocks:
+                kept += 2 * answer_false.size
+                if kept <= _SCAN_BLOCK_MAX_ENTRIES:
+                    blocks.append(
+                        ([indices[row] for row in rows], answer_false, answer_true)
+                    )
+        return cls(state, fact_ids, entropies, joint_entropies, blocks)
 
     def extension(
         self, fact_id: str
@@ -204,9 +238,9 @@ class CandidateScan:
             index = self.fact_ids.index(fact_id)
         except ValueError:
             return None
-        for start, answer_false, answer_true in self._blocks:
-            row = index - start
-            if 0 <= row < answer_false.shape[0]:
+        for rows, answer_false, answer_true in self._blocks:
+            if index in rows:
+                row = rows.index(index)
                 return (
                     answer_false[row],
                     answer_true[row],
@@ -534,19 +568,43 @@ class EntropyEngine:
         cell_mass = np.bincount(
             self._cell_index, weights=self._probabilities, minlength=self._num_cells
         )
-        projection = np.zeros(self._masks.shape[0], dtype=np.int64)
-        projection.setflags(write=False)
+        projection, combined = self._refine(self._empty_projection(), 0, ())
         return SelectionState(
             task_ids=(),
             width=0,
             entropy=0.0,
             joint_entropy=entropy_bits(cell_mass),
             projection=projection,
-            # With one cell the key is the projection (cell 0 shifts to 0).
-            combined=projection if self._num_cells == 1 else self._cell_index,
+            combined=combined,
             table=cell_mass.reshape(self._num_cells, 1),
             bit_accuracies=None if self._uniform is not None else np.empty(0),
         )
+
+    def _empty_projection(self) -> np.ndarray:
+        """The projection of the empty task set: zero on every support row."""
+        return np.zeros(self._masks.shape[0], dtype=np.int64)
+
+    def _refine(
+        self, projection: np.ndarray, width: int, fact_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The partition of ``width`` task bits refined by ``fact_ids``.
+
+        Each fact in turn takes the least significant answer bit of
+        ``projection``.  Returns ``(projection, combined)``, both read-only:
+        ``combined`` keys a row by ``(cell << width) | projection``, which
+        with one cell is the projection itself (cell 0 shifts to 0).
+        """
+        for fact_id in fact_ids:
+            projection = (projection << 1) | self.bits(fact_id)
+        projection.setflags(write=False)
+        width += len(fact_ids)
+        if self._num_cells == 1:
+            return projection, projection
+        if width == 0:
+            return projection, self._cell_index
+        combined = (self._cell_index << width) | projection
+        combined.setflags(write=False)
+        return projection, combined
 
     def _uses_histograms(self, state: SelectionState) -> bool:
         """Whether scans of ``state`` group through slice histograms."""
@@ -670,7 +728,7 @@ class EntropyEngine:
         self.evaluations += len(fact_ids)
         entropies: List[float] = []
         joint_entropies: List[float] = []
-        blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        blocks: List[Tuple[Sequence[int], np.ndarray, np.ndarray]] = []
         block = self._block_size(state, len(fact_ids))
         kept = 0
         for start in range(0, len(fact_ids), block):
@@ -681,7 +739,8 @@ class EntropyEngine:
             joint_entropies.extend(joint.tolist())
             kept += 2 * answer_false.size
             if kept <= _SCAN_BLOCK_MAX_ENTRIES:
-                blocks.append((start, answer_false, answer_true))
+                rows = range(start, start + len(task))
+                blocks.append((rows, answer_false, answer_true))
         return CandidateScan(state, fact_ids, entropies, joint_entropies, blocks)
 
     def extend(
@@ -721,13 +780,7 @@ class EntropyEngine:
         # projection refinement below.
         table[:, 0::2] = answer_false
         table[:, 1::2] = answer_true
-        projection = (state.projection << 1) | self.bits(fact_id)
-        projection.setflags(write=False)
-        if self._num_cells == 1:
-            combined = projection
-        else:
-            combined = (self._cell_index << width) | projection
-            combined.setflags(write=False)
+        projection, combined = self._refine(state.projection, state.width, (fact_id,))
         if state.bit_accuracies is None:
             bit_accuracies = None
         else:
@@ -738,6 +791,43 @@ class EntropyEngine:
             task_ids=state.task_ids + (fact_id,),
             width=width,
             entropy=task_entropy,
+            joint_entropy=joint_entropy,
+            projection=projection,
+            combined=combined,
+            table=table,
+            bit_accuracies=bit_accuracies,
+        )
+
+    def _refresh_state(
+        self,
+        state: Optional[SelectionState],
+        task_ids: Tuple[str, ...],
+        table: np.ndarray,
+        entropy: float,
+        joint_entropy: float,
+        bit_accuracies: Optional[np.ndarray],
+    ) -> SelectionState:
+        """The state of ``task_ids`` built from a peer engine's scores.
+
+        A pool worker's catch-up with its parent: ``table``, the entropies
+        and ``bit_accuracies`` are the parent state's, adopted verbatim, so
+        only the partition is refined here — one bit per task past
+        ``state``'s prefix, or from the empty set when ``state`` is ``None``
+        or not a prefix of ``task_ids``.  A ``state`` already at
+        ``task_ids`` is returned as it is (the same engine generation scores
+        the same tasks to the same floats).  No candidate is scored.
+        """
+        if state is not None and state.task_ids == task_ids:
+            return state
+        if state is None or state.task_ids != task_ids[: state.width]:
+            projection, done = self._empty_projection(), 0
+        else:
+            projection, done = state.projection, state.width
+        projection, combined = self._refine(projection, done, task_ids[done:])
+        return SelectionState(
+            task_ids=task_ids,
+            width=len(task_ids),
+            entropy=entropy,
             joint_entropy=joint_entropy,
             projection=projection,
             combined=combined,

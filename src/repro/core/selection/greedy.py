@@ -27,7 +27,7 @@ the original comparison sequence preserves bit-level tie behaviour.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
@@ -37,7 +37,7 @@ from repro.core.selection.base import (
     SelectionStats,
     TaskSelector,
 )
-from repro.core.selection.engine import CandidateScan, EntropyEngine
+from repro.core.selection.engine import EntropyEngine
 from repro.core.selection.parallel import ParallelSelectorMixin, PooledEvaluator
 from repro.core.utility import crowd_entropy
 
@@ -65,12 +65,13 @@ def run_greedy_on_engine(
 
     Each iteration scores every active candidate in one
     :meth:`EntropyEngine.scan`.  When a :class:`PooledEvaluator` is supplied,
-    the entropies may instead be computed by its worker pool (the
-    evaluator's policy decides per scan; small scans stay in process).  The
-    ranking below runs over one entropy per candidate *in candidate order*
-    either way, and a candidate's scanned entropy does not depend on the
-    block it was scored in, so the selected set, the tie-breaking and the
-    pruning decisions are bit-for-bit those of the serial path.
+    the scan may instead be computed by its worker pool (the evaluator's
+    policy decides per scan; small scans stay in process).  The ranking
+    below runs over one entropy per candidate *in candidate order* either
+    way, the winner is committed from the same scan's tables, and a
+    candidate's floats do not depend on the block it was scored in, so the
+    selected set, the tie-breaking and the pruning decisions are bit-for-bit
+    those of the serial path.
     """
     stats = SelectionStats()
     state = engine.initial_state()
@@ -88,13 +89,9 @@ def run_greedy_on_engine(
             stats.pruned_candidates += len(remaining) - len(active)
         else:
             active = remaining
-        scan: Optional[CandidateScan] = None
-        entropies: Optional[List[float]] = None
-        if evaluator is not None:
-            entropies = evaluator.evaluate(state, active)
-        if entropies is None:
+        scan = evaluator.evaluate(state, active) if evaluator is not None else None
+        if scan is None:
             scan = engine.scan(state, active)
-            entropies = scan.entropies
         stats.candidate_evaluations += len(active)
         if state.width:
             # Every evaluation past the first iteration reuses the cached
@@ -105,7 +102,7 @@ def run_greedy_on_engine(
         best_entropy = float("-inf")
         best_score = float("-inf")
         newly_pruned: Set[str] = set()
-        for fact_id, entropy in zip(active, entropies):
+        for fact_id, entropy in zip(active, scan.entropies):
             score = (
                 entropy if uniform is not None else entropy - engine.noise_entropy(fact_id)
             )

@@ -92,8 +92,8 @@ def _refresh_waves(
     selection is unchanged.
 
     Returns the refreshed ``[gain, index, fact_id]`` entries and, for every
-    candidate scored in process, the scan that scored it (so the winner can
-    be committed from its tables).
+    candidate, the scan that scored it — in process or on the pool — so the
+    winner can be committed from its tables.
     """
     refreshed: List[list] = []
     scans: Dict[str, CandidateScan] = {}
@@ -121,15 +121,14 @@ def _refresh_waves(
             _stale, index, fact_id = heapq.heappop(heap)
             batch.append((index, fact_id))
         fact_ids = [fact_id for _, fact_id in batch]
-        entropies = evaluator.evaluate(state, fact_ids) if pooled else None
-        if entropies is None:
+        scan = evaluator.evaluate(state, fact_ids) if pooled else None
+        if scan is None:
             scan = engine.scan(state, fact_ids)
-            entropies = scan.entropies
-            scans.update(dict.fromkeys(fact_ids, scan))
+        scans.update(dict.fromkeys(fact_ids, scan))
         stats.candidate_evaluations += len(batch)
         if state.width:
             stats.cache_hits += len(batch)
-        for (index, fact_id), extension in zip(batch, entropies):
+        for (index, fact_id), extension in zip(batch, scan.entropies):
             gain = extension - state.entropy
             if uniform is None:
                 gain -= engine.noise_entropy(fact_id)

@@ -16,19 +16,23 @@ This module shards the scan across one ``multiprocessing`` pool, the
   to a module global, so every worker inherits each engine's read-only state
   (support masks, probability vector, cached per-fact bit columns, interest
   cells) via copy-on-write pages.  Nothing about the support is ever
-  pickled; the only data crossing process boundaries are fact-id chunks
-  going out and float entropies coming back.
-* **State replay instead of state shipping** — the incremental
+  pickled; the only data crossing process boundaries are fact-id chunks and
+  the parent state's table going out, and the chunks' entropies and answer
+  tables coming back.
+* **Scores shipped, partition refined** — the incremental
   :class:`~repro.core.selection.engine.SelectionState` grows by one task per
-  iteration, and shipping its arrays (``O(|O|)`` per iteration) would undo
-  the sharing.  Workers instead keep their own state per engine and replay
-  the parent's ``extend`` calls from the selected-task prefix — one
-  extension per iteration, the cost of a single candidate evaluation.
-  Because ``extend`` is deterministic over the shared arrays, the replayed
-  state is bit-for-bit the parent's state, so every worker-computed entropy
-  is exactly the float the serial scan would have produced.
-* **Chunked dispatch with an auto-serial policy** — candidates are dispatched
-  in order-preserving chunks (several per worker, for load balance), and a
+  iteration.  Its support-sized arrays (the projection) never travel: each
+  worker keeps its own state per engine and refines its projection by one
+  bit per newly committed task.  Its scores — the ``cells · 2^width`` table,
+  the entropies and the per-bit accuracies — travel in the dispatch and are
+  adopted verbatim (:meth:`EntropyEngine._refresh_state`), so no worker ever
+  re-scores a committed task, and every worker-computed float is exactly
+  the one the serial scan produces.
+* **Chunked dispatch with an auto-serial policy** — on a support scanned by
+  slice histograms the candidates are grouped by 8-bit mask slice and each
+  worker gets one chunk of whole slices, so every slice histogram is built
+  once per iteration across the pool; other supports are dispatched in
+  order-preserving chunks (several per worker, for load balance).  A
   :class:`ParallelPolicy` decides whether parallelism pays at all: below a
   work threshold (candidates × support rows) the caller runs the ordinary
   in-process scan, so small Table-V-sized rounds never pay the fork or IPC
@@ -36,9 +40,9 @@ This module shards the scan across one ``multiprocessing`` pool, the
   first scan stays under the threshold skips the evaluator altogether.
 * **One fork per run, not per round** — the pool survives every
   ``EntropyEngine.reweight``: each engine owns a
-  :class:`multiprocessing.shared_memory` ring of probability snapshots
-  (:class:`_SnapshotRing`), the parent writes a reweighted (already
-  normalised) posterior into the next ring slot, and every dispatch carries
+  :class:`multiprocessing.shared_memory` snapshot ring
+  (:class:`_SnapshotRing`, one slot), the parent writes a reweighted
+  (already normalised) posterior into it, and every dispatch carries
   a tiny header ``(engine id, reweights, slot, channel_swaps, channel)``.
   A worker whose inherited engine is behind copies the snapshot byte for
   byte (:meth:`EntropyEngine.load_probabilities` — no renormalisation, so
@@ -57,10 +61,12 @@ This module shards the scan across one ``multiprocessing`` pool, the
   pool to serial scans instead of erroring.
 
 Selection results are **bit-for-bit identical** to the serial path by
-construction: the pool returns one entropy per candidate in candidate
-order, and the caller replays the exact serial ranking loop (same
-``TIE_TOLERANCE`` first-index-wins comparison, same pruning bound) over
-those values.
+construction: the pool returns a
+:class:`~repro.core.selection.engine.CandidateScan` with every candidate's
+floats in candidate order (a candidate's floats do not depend on which
+others share its chunk), the caller replays the exact serial ranking loop
+(same ``TIE_TOLERANCE`` first-index-wins comparison, same pruning bound)
+over them, and commits the winner from the tables its worker returned.
 """
 
 from __future__ import annotations
@@ -85,7 +91,12 @@ import numpy as np
 
 from repro.core.crowd import ChannelModel
 from repro.core.selection.base import SelectionResult
-from repro.core.selection.engine import EntropyEngine, SelectionState
+from repro.core.selection.engine import (
+    _SLICE_BITS,
+    CandidateScan,
+    EntropyEngine,
+    SelectionState,
+)
 from repro.exceptions import SelectionError
 from repro.testing import faults
 
@@ -98,16 +109,17 @@ _LOGGER = logging.getLogger("repro.selection.parallel")
 #: — sits orders of magnitude under it and never leaves the serial path).
 DEFAULT_PARALLEL_THRESHOLD = 1 << 22
 
-#: Chunks dispatched per worker per iteration when no explicit chunk size is
-#: configured: more than one for load balance (candidate costs vary with the
+#: Chunks dispatched per worker per iteration on the offset-``bincount`` path:
+#: more than one for load balance (candidate costs vary with the
 #: cached-partition width), few enough that IPC stays negligible.
 _CHUNKS_PER_WORKER = 4
 
-#: Slots in each engine's shared-memory snapshot ring.  ``pool.map`` is
-#: synchronous, so one slot would suffice for correctness; a small ring keeps
-#: the parent from overwriting the page a straggling worker is still reading
-#: if dispatch ever becomes asynchronous.
-_SNAPSHOT_SLOTS = 4
+#: Slots in each engine's shared-memory snapshot ring.  Dispatch is
+#: synchronous (``pool.map`` returns only once every chunk is scored, and a
+#: crashed dispatch tears its workers down before the next publish), so no
+#: worker can still be reading the slot the parent overwrites: every header
+#: names the newest posterior, and one slot holds it.
+_SNAPSHOT_SLOTS = 1
 
 #: Published engine registry the pool workers inherit at fork time: workers
 #: keep their fork-time copy of every attached engine, keyed by the engine id
@@ -121,8 +133,8 @@ _FORK_ENGINES: Optional[Dict[int, EntropyEngine]] = None
 #: after the fork are visible to every worker.
 _FORK_RING_MAP: Optional[Dict[int, "_SnapshotRing"]] = None
 
-#: Per-worker replayed selection states, one per engine id (lives only in
-#: pool worker processes).
+#: Per-worker selection states, one per engine id (lives only in pool worker
+#: processes).
 _WORKER_STATES: Dict[int, SelectionState] = {}
 
 #: Serialises every set-globals → fork → clear-globals sequence across *all*
@@ -371,9 +383,6 @@ class ParallelPolicy:
         Minimum work size (candidates × support rows) of one iteration's scan
         before the pool is used; smaller scans run serially so that small
         rounds never regress.  Zero forces parallelism whenever possible.
-    chunk_size:
-        Candidates per dispatched chunk; ``None`` derives a size giving each
-        worker several chunks for load balance.
     max_rebuilds:
         Consecutive crashed dispatches the supervisor absorbs (rebuilding the
         pool after each) before the circuit breaker trips and the evaluator
@@ -390,7 +399,6 @@ class ParallelPolicy:
 
     workers: Optional[int] = None
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    chunk_size: Optional[int] = None
     max_rebuilds: int = 2
     dispatch_timeout: Optional[float] = None
     heartbeat: float = 0.05
@@ -402,8 +410,6 @@ class ParallelPolicy:
             raise SelectionError(
                 f"parallel_threshold must be non-negative, got {self.parallel_threshold}"
             )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise SelectionError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.max_rebuilds < 0:
             raise SelectionError(
                 f"max_rebuilds must be non-negative, got {self.max_rebuilds}"
@@ -430,9 +436,7 @@ class ParallelPolicy:
         return num_candidates * support_size >= self.parallel_threshold
 
     def resolved_chunk_size(self, num_candidates: int) -> int:
-        """Candidates per chunk for a scan of ``num_candidates``."""
-        if self.chunk_size is not None:
-            return self.chunk_size
+        """Candidates per chunk for an offset-path scan of ``num_candidates``."""
         per_worker = self.resolved_workers() * _CHUNKS_PER_WORKER
         return max(1, math.ceil(num_candidates / per_worker))
 
@@ -443,23 +447,66 @@ class ParallelPolicy:
 #: happened since the fork).
 _DispatchHeader = Tuple[int, int, int, int, Optional[ChannelModel]]
 
+#: What a dispatch carries of the parent's selection state: ``(task_ids,
+#: table, entropy, joint_entropy, bit_accuracies)``, the arguments of
+#: :meth:`EntropyEngine._refresh_state` after the worker's own state.
+_StateBasis = Tuple[Tuple[str, ...], np.ndarray, float, float, Optional[np.ndarray]]
+
+#: One chunk's scores: its entropies, joint entropies and the answer-table
+#: blocks its scan kept (row indices local to the chunk).
+_ChunkScores = Tuple[List[float], List[float], List[tuple]]
+
+
+def _chunk_indices(
+    engine: EntropyEngine,
+    state: SelectionState,
+    candidates: Sequence[str],
+    policy: ParallelPolicy,
+) -> List[Sequence[int]]:
+    """Candidate indices of each chunk one scan of ``candidates`` dispatches.
+
+    On the histogram path a chunk's cost is one slice histogram per mask
+    slice it touches, whatever its candidate count, so the candidates are
+    grouped by slice and the sorted slices split into at most one contiguous
+    run per worker: each slice histogram is then built exactly once.  The
+    offset path keeps order-preserving chunks of
+    :meth:`ParallelPolicy.resolved_chunk_size` candidates.
+    """
+    if engine._uses_histograms(state):
+        by_slice: Dict[int, List[int]] = {}
+        for index, position in enumerate(engine.distribution.positions(candidates)):
+            by_slice.setdefault(position // _SLICE_BITS, []).append(index)
+        slices = sorted(by_slice)
+        runs = np.array_split(
+            np.arange(len(slices)), min(policy.resolved_workers(), len(slices))
+        )
+        return [
+            [index for run_slice in run for index in by_slice[slices[run_slice]]]
+            for run in runs
+        ]
+    size = policy.resolved_chunk_size(len(candidates))
+    return [
+        range(start, min(start + size, len(candidates)))
+        for start in range(0, len(candidates), size)
+    ]
+
 
 def _score_chunk(
-    header: _DispatchHeader, task_ids: Tuple[str, ...], chunk: Sequence[str]
-) -> List[float]:
-    """Worker entry point: ``H(T ∪ {f})`` for every candidate in ``chunk``.
+    header: _DispatchHeader, basis: _StateBasis, chunk: Sequence[str]
+) -> _ChunkScores:
+    """Worker entry point: the scan of ``chunk`` against the parent's state.
 
     The engine id selects one of the fork-inherited engines.  A stale
     posterior is loaded byte for byte from that engine's snapshot ring and a
     stale channel model is replayed through ``set_channel`` (the same call
-    the parent's session made); either sync drops the worker's replayed
-    selection state, whose cached tables embed the old probabilities and
-    channel accuracies.  The state is then brought up to the parent's
-    selected-task prefix — one ``extend`` per newly committed task, or a
-    restart from the empty state when the prefix no longer matches (a fresh
-    selection).  Per-engine states live in :data:`_WORKER_STATES`, so
-    interleaved dispatches for different engines never invalidate each
-    other's incremental state.
+    the parent's session made); either sync drops the worker's selection
+    state, whose cached tables embed the old probabilities and channel
+    accuracies.  The state is then brought up to the parent's: its
+    projection refined by one bit per newly committed task (from the empty
+    set when the prefix no longer matches — a fresh selection) and its
+    scores adopted from ``basis``.  Per-engine states live in
+    :data:`_WORKER_STATES`, so interleaved dispatches for different engines
+    never invalidate each other's incremental state.
     """
     faults.fire("worker_dispatch")
     engines = _FORK_ENGINES
@@ -490,13 +537,10 @@ def _score_chunk(
         engine.set_channel(channel)
         engine.channel_swaps = channel_swaps
         _WORKER_STATES.pop(engine_id, None)
-    state = _WORKER_STATES.get(engine_id)
-    if state is None or state.task_ids != task_ids[: state.width]:
-        state = engine.initial_state()
-    for fact_id in task_ids[state.width:]:
-        state = engine.extend(state, fact_id)
+    state = engine._refresh_state(_WORKER_STATES.get(engine_id), *basis)
     _WORKER_STATES[engine_id] = state
-    return engine.scan(state, chunk).entropies
+    scan = engine.scan(state, chunk)
+    return scan.entropies, scan.joint_entropies, scan._blocks
 
 
 def _supervised_map(
@@ -800,10 +844,14 @@ class EvaluatorPool:
 
     def evaluate(
         self, engine_id: int, state: SelectionState, candidates: Sequence[str]
-    ) -> "Tuple[Optional[List[float]], int]":
-        """Score ``candidates`` for one attached engine, in candidate order.
+    ) -> "Tuple[Optional[CandidateScan], int]":
+        """Scan ``candidates`` for one attached engine.
 
-        Returns ``(entropies, chunk_size)``; entropies are ``None`` when the
+        Returns ``(scan, chunk_size)``: the scan holds every candidate's
+        floats in candidate order, bit for bit those of
+        :meth:`EntropyEngine.scan`, and the answer tables the workers kept,
+        so ``extend(state, winner, scan)`` scores nothing; ``chunk_size`` is
+        the largest chunk's candidate count.  The scan is ``None`` when the
         policy elects the serial path for this scan (too little work, too few
         workers, no ``fork`` support) and when the pool's circuit breaker has
         tripped — the caller then runs its ordinary in-process loop.
@@ -828,11 +876,16 @@ class EvaluatorPool:
                 return None, 0
             if self._broken:
                 return None, 0
-            chunk_size = self._policy.resolved_chunk_size(len(candidates))
-            chunks = [
-                list(candidates[start:start + chunk_size])
-                for start in range(0, len(candidates), chunk_size)
-            ]
+            candidates = tuple(candidates)
+            indices = _chunk_indices(attachment.engine, state, candidates, self._policy)
+            chunks = [[candidates[index] for index in chunk] for chunk in indices]
+            basis = (
+                state.task_ids,
+                state.table,
+                state.entropy,
+                state.joint_entropy,
+                state.bit_accuracies,
+            )
             crashes = 0
             while True:
                 pool = self._ensure_pool()
@@ -841,7 +894,7 @@ class EvaluatorPool:
                 if directive == "corrupt_header":
                     hdr_engine_id, reweights, slot, channel_swaps, _channel = header
                     header = (hdr_engine_id, reweights, slot, channel_swaps + 1, None)
-                worker = partial(_score_chunk, header, state.task_ids)
+                worker = partial(_score_chunk, header, basis)
                 try:
                     scored = _supervised_map(
                         pool, self._procs, worker, chunks, self._policy
@@ -873,7 +926,12 @@ class EvaluatorPool:
                     continue
                 self.dispatches += 1
                 break
-        return [entropy for part in scored for entropy in part], chunk_size
+        scan = CandidateScan._gather(
+            state,
+            candidates,
+            [(chunk, *scores) for chunk, scores in zip(indices, scored)],
+        )
+        return scan, max(len(chunk) for chunk in chunks)
 
 
 class PooledEvaluator:
@@ -930,31 +988,29 @@ class PooledEvaluator:
     def refresh_batch_size(self) -> int:
         """Candidates a lazy (CELF) selector should refresh per wave.
 
-        Enough to hand every worker its configured chunk share, so a wave
-        that clears the policy threshold saturates the pool; small enough
-        that lazy evaluation still skips the long tail of stale candidates.
+        Several candidates per worker, so a wave that clears the policy
+        threshold saturates the pool; few enough that lazy evaluation still
+        skips the long tail of stale candidates.
         """
-        policy = self._shared_pool.policy
-        chunk = policy.chunk_size or _CHUNKS_PER_WORKER
-        return max(1, policy.resolved_workers() * chunk)
+        return max(1, self._shared_pool.policy.resolved_workers() * _CHUNKS_PER_WORKER)
 
     def evaluate(
         self, state: SelectionState, candidates: Sequence[str]
-    ) -> Optional[List[float]]:
-        """Score ``candidates`` through the pool (``None`` = go serial)."""
+    ) -> Optional[CandidateScan]:
+        """Scan ``candidates`` through the pool (``None`` = go serial)."""
         if self._closed:
             raise SelectionError(
                 "this pooled evaluator has been closed; its session no longer "
                 "owns a slot on the evaluator pool"
             )
-        entropies, chunk_size = self._shared_pool.evaluate(
+        scan, chunk_size = self._shared_pool.evaluate(
             self._engine_id, state, candidates
         )
-        if entropies is not None:
+        if scan is not None:
             self.parallel_evaluations += len(candidates)
             self.chunk_size = chunk_size
             self.workers = self._shared_pool.workers
-        return entropies
+        return scan
 
     def close(self) -> None:
         """Detach this engine from the pool (idempotent)."""

@@ -88,6 +88,24 @@ class SessionRecord:
         self.spent += tasks
 
 
+@dataclass(frozen=True)
+class StoredSession:
+    """A session snapshot read and decoded from disk, ready to install.
+
+    :meth:`SessionRegistry.load_stored` builds it without touching any
+    registry state, so the service runs that step off its event loop;
+    :meth:`SessionRegistry.install` then makes it resident.
+    """
+
+    distribution: JointDistribution
+    channel: ChannelModel
+    selector: TaskSelector
+    selector_name: str
+    budget: int
+    spent: int
+    rounds_merged: int
+
+
 class SessionRegistry:
     """Creates, resolves, snapshots, restores and evicts the service's sessions.
 
@@ -190,9 +208,14 @@ class SessionRegistry:
         return record
 
     def get(self, session_id: str) -> SessionRecord:
+        """The resident record of ``session_id``, touching its LRU clock.
+
+        A stored session is not revived here: revive it with
+        :meth:`load_stored` and :meth:`install` first.
+        """
         record = self._records.get(session_id)
         if record is None:
-            record = self._revive(session_id)
+            raise UnknownSessionError(f"no session {session_id!r}")
         record.last_used = time.monotonic()
         return record
 
@@ -246,30 +269,52 @@ class SessionRegistry:
             return ()
         return tuple(self._store.stored_ids())
 
-    def _revive(self, session_id: str) -> SessionRecord:
-        """Rebuild an evicted/restarted session from its disk snapshot."""
+    def load_stored(self, session_id: str) -> StoredSession:
+        """Read and decode an evicted/restarted session's disk snapshot.
+
+        The first half of a revive, and the slow one (a snapshot holds a
+        whole posterior): it reads no registry state beyond the store and
+        changes none, so it may run on any thread.  Raises
+        :class:`~repro.service.api.UnknownSessionError` when the snapshot
+        is gone.
+        """
         payload = self._store.load(session_id) if self._store is not None else None
         if payload is None:
             raise UnknownSessionError(f"no session {session_id!r}")
         from repro.service.persistence import decode_snapshot
 
         distribution, channel = decode_snapshot(payload)
+        return StoredSession(
+            distribution=distribution,
+            channel=channel,
+            selector=get_selector(payload["selector"]),
+            selector_name=payload["selector"],
+            budget=int(payload["budget"]),
+            spent=int(payload["spent"]),
+            rounds_merged=int(payload["rounds_merged"]),
+        )
+
+    def install(self, session_id: str, stored: StoredSession) -> SessionRecord:
+        """Make a loaded snapshot the resident session ``session_id``.
+
+        The second half of a revive; the caller checks capacity first.
+        """
         try:
-            session = self._pool.add(session_id, distribution, channel)
+            session = self._pool.add(session_id, stored.distribution, stored.channel)
         except (BudgetError, SelectionError, CrowdFusionError) as error:
             raise ValidationFailedError(
                 f"cannot revive session {session_id}: {error}"
             ) from None
         # The snapshot stored the *posterior*; it is the revived session's
         # prior, so only the merge counter needs restoring.
-        session.restore_rounds_merged(int(payload["rounds_merged"]))
+        session.restore_rounds_merged(stored.rounds_merged)
         record = SessionRecord(
             session_id=session_id,
             session=session,
-            selector=get_selector(payload["selector"]),
-            selector_name=payload["selector"],
-            budget=int(payload["budget"]),
-            spent=int(payload["spent"]),
+            selector=stored.selector,
+            selector_name=stored.selector_name,
+            budget=stored.budget,
+            spent=stored.spent,
             last_snapshot_at=time.monotonic(),
         )
         self._records[session_id] = record

@@ -492,8 +492,10 @@ class RefinementService:
     async def _revive(self, session_id: str) -> None:
         """Make a stored session resident, one revive per id at a time.
 
-        A revive adds a resident session, so it makes room as a create does.
-        A request that finds a revive of its id in flight waits for it and
+        The snapshot is read and decoded on the executor, so other tenants'
+        requests run meanwhile; only the install runs on the loop.  A revive
+        adds a resident session, so it then makes room as a create does.  A
+        request that finds a revive of its id in flight waits for it and
         then uses the live session; it never makes room a second time.  An
         id with no snapshot returns at once, to get its 404.
         """
@@ -508,9 +510,13 @@ class RefinementService:
                 return
             revival = self._revivals[session_id] = asyncio.Event()
             try:
+                stored = await self._hop(
+                    lambda: registry.load_stored(session_id), None, "revive"
+                )
+                self._ensure_open()
                 await self._make_room()
                 # No await from the last capacity check to here.
-                registry.get(session_id)
+                registry.install(session_id, stored)
             finally:
                 del self._revivals[session_id]
                 revival.set()

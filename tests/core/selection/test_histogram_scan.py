@@ -17,7 +17,12 @@ The contract pinned here, for every case:
   products give the same bits;
 * :meth:`EntropyEngine.extend` from the scan equals ``extend`` without a
   scan, or with a scan that never scored the fact, bit for bit;
-* a pooled session's scans equal the serial scan as float hex;
+* a pooled session's scans equal the serial scan as float hex — entropies,
+  joint entropies and every candidate's answer tables — for candidate lists
+  in any order, also when a worker sat out earlier dispatches or the
+  channel changed mid-session;
+* a pooled iteration builds each slice histogram once: the workers score
+  one block per chunk of whole mask slices, and the parent scores none;
 * selection picks ``greedy_reference``'s task ids on uniform channels, and
   the scalar-oracle-driven selection's on heterogeneous channels and for
   facts of interest, with objectives within 1e-9.
@@ -28,20 +33,26 @@ the ``natural_*`` supports of 2^12 rows and more.
 """
 
 import functools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel
 from repro.core.query import Query
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     ParallelPolicy,
+    PooledEvaluator,
     QueryGreedySelector,
     RefinementSession,
     get_selector,
 )
 from repro.core.selection import engine as engine_module
 from repro.core.selection.engine import EntropyEngine
+from repro.core.selection.parallel import _chunk_indices
 from tests.core.selection.test_batched_scan import (
     CASES,
     INTEREST,
@@ -107,6 +118,32 @@ def case_states(case, engine):
 def sampled(candidates, count=12):
     """About ``count`` candidates spread over the list (the scalar loops are slow)."""
     return candidates[:: max(1, len(candidates) // count)]
+
+
+def scan_hexes(scan):
+    """Every float of ``scan`` as hex: entropies, joint entropies, and each
+    candidate's answer tables and entropies as :meth:`extension` finds them."""
+    extensions = []
+    for fact_id in scan.fact_ids:
+        extension = scan.extension(fact_id)
+        assert extension is not None, f"the scan kept no tables for {fact_id}"
+        answer_false, answer_true, task, joint = extension
+        extensions.append(
+            (hexes(answer_false.ravel()), hexes(answer_true.ravel()), task.hex(), joint.hex())
+        )
+    return hexes(scan.entropies), hexes(scan.joint_entropies), extensions
+
+
+def shuffled(candidates, seed):
+    """``candidates`` in a seeded random order (pool chunks then interleave)."""
+    order = np.random.default_rng(seed).permutation(len(candidates))
+    return [candidates[index] for index in order]
+
+
+def scripted_answers(task_ids, round_index):
+    return AnswerSet.from_mapping(
+        {fact_id: (round_index + position) % 2 == 0 for position, fact_id in enumerate(task_ids)}
+    )
 
 
 def assert_same_state(left, right):
@@ -210,11 +247,13 @@ class TestHistogramScan:
         ) as session:
             engine = session.engine
             evaluator = session.shared_evaluator()
-            for state in case_states(case, engine):
+            for width, state in enumerate(case_states(case, engine)):
                 candidates = remaining(engine, state)
-                pooled = evaluator.evaluate(state, candidates)
-                assert pooled is not None
-                assert hexes(pooled) == hexes(engine.scan(state, candidates).entropies)
+                # A shuffled list's chunks are not contiguous runs of it.
+                for order in (candidates, shuffled(candidates, seed=width)):
+                    pooled = evaluator.evaluate(state, order)
+                    assert pooled is not None
+                    assert scan_hexes(pooled) == scan_hexes(engine.scan(state, order))
             assert evaluator.parallel_evaluations > 0
 
     def test_selection_matches_oracle(self, case, monkeypatch):
@@ -291,3 +330,141 @@ class TestSliceCache:
         # One cache object: a slice built through any view is warm everywhere.
         assert later._slices is view._slices is engine._slices
         assert sorted(engine._slices) == [0, 1]
+
+
+# -- the pool on the histogram path ---------------------------------------------------
+
+
+def slices_of(engine, candidates):
+    return {position // 8 for position in engine.distribution.positions(candidates)}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("case", ["uniform", "packed", "natural_planes"])
+def test_histogram_chunks_hold_whole_slices(case, workers, monkeypatch):
+    """Each chunk is one contiguous run of whole mask slices, one per worker."""
+    engine = case_engine(case, monkeypatch)
+    state = engine.initial_state()
+    assert engine._uses_histograms(state)
+    candidates = shuffled(remaining(engine, state), seed=workers)
+    chunks = _chunk_indices(engine, state, candidates, ParallelPolicy(workers=workers))
+    assert sorted(index for chunk in chunks for index in chunk) == list(range(len(candidates)))
+    touched = [sorted(slices_of(engine, [candidates[i] for i in chunk])) for chunk in chunks]
+    assert len(chunks) == min(workers, len(slices_of(engine, candidates)))
+    # Disjoint, ascending, gap-free runs: no slice histogram is built twice.
+    flat = [index for run in touched for index in run]
+    assert flat == sorted(slices_of(engine, candidates))
+    assert all(run == list(range(run[0], run[-1] + 1)) for run in touched)
+    assert max(map(len, touched)) - min(map(len, touched)) <= 1
+
+
+def test_offset_chunks_are_order_preserving_runs():
+    engine = engine_for("uniform")
+    state = engine.initial_state()
+    assert not engine._uses_histograms(state)
+    candidates = remaining(engine, state)
+    chunks = _chunk_indices(engine, state, candidates, ParallelPolicy(workers=2))
+    assert [list(chunk) for chunk in chunks] == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("case", ["uniform", "interest_heterogeneous", "packed", "natural_planes"])
+def test_pooled_iterations_score_each_chunk_once(case, monkeypatch):
+    """Per pooled iteration the parent scores nothing, each chunk one block."""
+    distribution, channel, interest = case_spec(case, monkeypatch)
+    parent = os.getpid()
+    parent_blocks = []
+    worker_blocks = multiprocessing.get_context("fork").Value("i", 0)
+    score_block = EntropyEngine._score_block
+
+    def spy(engine, state, fact_ids):
+        if os.getpid() == parent:
+            parent_blocks.append(tuple(fact_ids))
+        else:
+            with worker_blocks.get_lock():
+                worker_blocks.value += 1
+        return score_block(engine, state, fact_ids)
+
+    # Installed before the pool forks, so every worker inherits the spy.
+    monkeypatch.setattr(EntropyEngine, "_score_block", spy)
+    workers = 2
+    policy = ParallelPolicy(workers=workers, parallel_threshold=0)
+    with RefinementSession(
+        distribution, channel, interest_ids=interest, parallel=policy
+    ) as session:
+        engine = session.engine
+        evaluator = session.shared_evaluator()
+        state = engine.initial_state()
+        for _iteration in range(3):
+            assert engine._uses_histograms(state)
+            candidates = remaining(engine, state)
+            before = worker_blocks.value
+            scan = evaluator.evaluate(state, candidates)
+            assert scan is not None
+            chunks = min(workers, len(slices_of(engine, candidates)))
+            assert worker_blocks.value - before == chunks
+            best = max(range(len(candidates)), key=scan.entropies.__getitem__)
+            state = engine.extend(state, candidates[best], scan)
+    assert parent_blocks == []
+
+
+def selection_rounds(session, selector, rounds=3, k=3):
+    """Per round: the task ids and the objective as float hex."""
+    history = []
+    for round_index in range(rounds):
+        result = session.select(selector, k)
+        history.append((result.task_ids, result.objective.hex()))
+        session.merge(scripted_answers(result.task_ids, round_index))
+    return history
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("recalibrate", [False, True], ids=["fixed", "recalibrated"])
+def test_a_worker_that_sat_out_returns_serial_floats(recalibrate, monkeypatch):
+    """Three workers and two chunks per dispatch: one worker always sits out.
+
+    It catches up across committed tasks, merged posteriors and (when the
+    session re-calibrates) channel swaps, and still scores serial floats.
+    """
+    monkeypatch.setattr(engine_module, "_HISTOGRAM_MIN_FILL", 0)
+    distribution = sparse_distribution(num_facts=16, support=300, seed=31)
+    channel = CrowdModel(0.8)
+    runtime = RuntimeOptions(recalibrate=recalibrate)
+    checked = []
+    pooled_evaluate = PooledEvaluator.evaluate
+
+    def checking(evaluator, state, candidates):
+        scan = pooled_evaluate(evaluator, state, candidates)
+        assert scan is not None
+        engine = evaluator._engine
+        assert len(slices_of(engine, candidates)) == 2
+        assert scan_hexes(scan) == scan_hexes(engine.scan(state, candidates))
+        checked.append(engine.channel_swaps)
+        return scan
+
+    monkeypatch.setattr(PooledEvaluator, "evaluate", checking)
+    policy = ParallelPolicy(workers=3, parallel_threshold=0)
+    serial = selection_rounds(
+        RefinementSession(distribution, channel, runtime=runtime), get_selector("greedy"), rounds=4
+    )
+    with RefinementSession(
+        distribution, channel, runtime=runtime, parallel=policy
+    ) as session:
+        pooled = selection_rounds(session, get_selector("greedy"), rounds=4)
+        assert session.shared_evaluator().workers == 3
+    assert pooled == serial
+    assert len(checked) >= 8
+    assert (max(checked) > 0) == recalibrate
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("name", ["greedy", "greedy_lazy"])
+@pytest.mark.parametrize("case", ["uniform", "heterogeneous", "packed", "natural_planes"])
+def test_pooled_selections_equal_serial_over_merged_rounds(case, name, monkeypatch):
+    distribution, channel, _interest = case_spec(case, monkeypatch)
+    serial = selection_rounds(RefinementSession(distribution, channel), get_selector(name))
+    policy = ParallelPolicy(workers=2, parallel_threshold=0)
+    with RefinementSession(distribution, channel, parallel=policy) as session:
+        pooled = selection_rounds(session, get_selector(name))
+        assert session.shared_evaluator().parallel_evaluations > 0
+    assert pooled == serial

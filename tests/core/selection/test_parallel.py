@@ -92,8 +92,6 @@ class TestParallelPolicy:
             ParallelPolicy(workers=0)
         with pytest.raises(SelectionError):
             ParallelPolicy(parallel_threshold=-1)
-        with pytest.raises(SelectionError):
-            ParallelPolicy(chunk_size=0)
 
     def test_single_worker_never_parallelises(self):
         policy = ParallelPolicy(workers=1, parallel_threshold=0)
@@ -111,9 +109,8 @@ class TestParallelPolicy:
         assert not policy.should_parallelise(num_candidates=1, support_size=1 << 20)
 
     def test_chunk_size_resolution(self):
-        assert ParallelPolicy(workers=2, chunk_size=7).resolved_chunk_size(100) == 7
-        derived = ParallelPolicy(workers=2).resolved_chunk_size(100)
-        assert 1 <= derived <= 100
+        # Four chunks per worker.
+        assert ParallelPolicy(workers=2).resolved_chunk_size(100) == 13
         assert ParallelPolicy(workers=8).resolved_chunk_size(3) >= 1
 
     def test_default_threshold_spares_table5_workloads(self):
@@ -188,17 +185,24 @@ class TestParallelEquivalence:
         candidates = list(dist.fact_ids)
         reference_engine = EntropyEngine(dist, crowd)
         reference_state = reference_engine.initial_state()
-        expected = [
-            reference_engine.scan(reference_state, [fact_id]).entropies[0]
-            for fact_id in candidates
+        singles = [
+            reference_engine.scan(reference_state, [fact_id]) for fact_id in candidates
         ]
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with EvaluatorPool(policy) as pool:
             evaluator = pool.attach(engine)
             scored = evaluator.evaluate(state, candidates)
-        # Replayed worker state runs the identical float operations, so the
-        # entropies agree to the last bit, not merely within tolerance.
-        assert scored == expected
+        # Workers adopt the parent state's table and run the identical float
+        # operations, so the entropies and the answer tables agree to the
+        # last bit, not merely within tolerance.
+        assert scored.state is state
+        assert scored.entropies == [single.entropies[0] for single in singles]
+        assert scored.joint_entropies == [single.joint_entropies[0] for single in singles]
+        for fact_id, single in zip(candidates, singles):
+            pooled_false, pooled_true, _, _ = scored.extension(fact_id)
+            single_false, single_true, _, _ = single.extension(fact_id)
+            assert pooled_false.tobytes() == single_false.tobytes()
+            assert pooled_true.tobytes() == single_true.tobytes()
         assert evaluator.parallel_evaluations == len(candidates)
 
     def test_session_selection_with_parallel_policy(self):

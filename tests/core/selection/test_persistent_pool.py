@@ -36,6 +36,8 @@ from repro.core.selection import (
 from repro.core.selection.engine import EntropyEngine
 from repro.core.selection.parallel import _SnapshotRing
 from repro.exceptions import SelectionError
+from repro.testing import faults
+from repro.testing.faults import FaultPlan
 
 #: Forces the pool for any scan with at least two candidates.
 FORCE_PARALLEL = 0
@@ -119,6 +121,94 @@ class TestSnapshotRing:
         ring = _SnapshotRing(support_size=8)
         ring.close()
         ring.close()
+
+
+def session_ring(session):
+    """The snapshot ring of ``session``'s engine on its pool."""
+    evaluator = session.shared_evaluator()
+    return evaluator._shared_pool._attachments[evaluator._engine_id].ring
+
+
+def scan_hexes(scan):
+    return (
+        [entropy.hex() for entropy in scan.entropies],
+        [entropy.hex() for entropy in scan.joint_entropies],
+    )
+
+
+def checked_evaluations(monkeypatch):
+    """Make every pooled scan assert it equals the in-process scan, float
+    for float; returns the list of checked scan sizes."""
+    checked = []
+    pooled_evaluate = PooledEvaluator.evaluate
+
+    def checking(evaluator, state, candidates):
+        scan = pooled_evaluate(evaluator, state, candidates)
+        if scan is not None:
+            expected = evaluator._engine.scan(state, candidates)
+            assert scan_hexes(scan) == scan_hexes(expected)
+            checked.append(len(candidates))
+        return scan
+
+    monkeypatch.setattr(PooledEvaluator, "evaluate", checking)
+    return checked
+
+
+@pytest.mark.parallel
+class TestSessionRing:
+    """One slot per session: it always holds the newest posterior."""
+
+    def test_a_session_ring_holds_one_slot(self):
+        dist = dense_distribution(8, 64)
+        policy = ParallelPolicy(workers=2)
+        with RefinementSession(dist, CrowdModel(0.8), parallel=policy) as session:
+            ring = session_ring(session)
+            assert ring._slots == 1
+            assert ring._array.shape == (1, 64)
+
+    def test_workers_read_the_newest_posterior_after_each_merge(self, monkeypatch):
+        dist = dense_distribution(10, 256, seed=12)
+        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        checked = checked_evaluations(monkeypatch)
+        with RefinementSession(dist, CrowdModel(0.8), parallel=policy) as session:
+            engine = session.engine
+            evaluator = session.shared_evaluator()
+            candidates = list(dist.fact_ids)
+            for round_index in range(4):
+                assert evaluator.evaluate(engine.initial_state(), candidates) is not None
+                if round_index:
+                    # The dispatch published this round's posterior into slot 0.
+                    ring = session_ring(session)
+                    assert ring.read(0).tobytes() == engine.probabilities.tobytes()
+                session.merge(scripted_answers(candidates[round_index:round_index + 3], round_index))
+        assert len(checked) == 4
+
+
+@pytest.mark.chaos
+@pytest.mark.parallel
+def test_scans_after_a_rebuilt_crash_stay_serial_identical(monkeypatch):
+    """A worker killed mid-dispatch in the second round: the rebuilt pool's
+    one-slot ring serves every later posterior, scan for scan."""
+    dist = dense_distribution(10, 256, seed=13)
+    crowd = CrowdModel(0.8)
+    serial = run_rounds(RefinementSession(dist, crowd), GreedySelector())
+    policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+    checked = checked_evaluations(monkeypatch)
+    faults.uninstall()
+    try:
+        # Chunk dispatch 20 falls in the first scan after the first merge.
+        with faults.injected(FaultPlan(kill_worker_at_dispatch=20)):
+            with RefinementSession(dist, crowd, parallel=policy) as session:
+                recovered = run_rounds(session, GreedySelector())
+                evaluator = session.shared_evaluator()
+                assert evaluator.worker_crashes == 1
+                assert evaluator.pool_rebuilds == 1
+                assert not evaluator.degraded
+    finally:
+        faults.uninstall()
+    assert_histories_match(serial, recovered)
+    assert len(checked) == 3 * len(serial)
+    assert multiprocessing.active_children() == []
 
 
 class TestLoadProbabilities:

@@ -336,6 +336,100 @@ class TestEviction:
             SessionRegistry(idle_ttl_s=5.0)
 
 
+class TestOffLoopRevive:
+    """A revive reads and decodes its snapshot on the executor."""
+
+    def test_the_decode_runs_off_the_loop_thread(self, tmp_path, monkeypatch):
+        decoders = []
+        decode = persistence.decode_snapshot
+
+        def spy(payload):
+            decoders.append(threading.get_ident())
+            return decode(payload)
+
+        monkeypatch.setattr(persistence, "decode_snapshot", spy)
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                view = await service.get_posterior(first.session_id)
+                assert view.rounds_merged == 0
+                assert service.metrics()["durability"]["revivals"] == 1
+                return threading.get_ident()
+
+        loop_thread = run(scenario())
+        assert len(decoders) == 1
+        assert loop_thread not in decoders
+
+    def test_another_tenant_selects_while_a_revive_decodes(self, tmp_path, monkeypatch):
+        decoding = threading.Event()
+        release = threading.Event()
+        decode = persistence.decode_snapshot
+
+        def held(payload):
+            decoding.set()
+            # Bounded, so a decode on the loop thread fails the test instead
+            # of hanging it.
+            release.wait(timeout=5.0)
+            return decode(payload)
+
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=2
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                # The cap evicts ``first``, the least recently used.
+                other = await service.create_session(
+                    make_prior(2), CrowdModel(0.8), budget=6
+                )
+                monkeypatch.setattr(persistence, "decode_snapshot", held)
+                revive = asyncio.ensure_future(service.get_posterior(first.session_id))
+                while not decoding.is_set():
+                    await asyncio.sleep(0.001)
+                # An inline select of another tenant, while the decode is held.
+                reply = await service.select_next(other.session_id)
+                assert reply.task_ids
+                assert not revive.done()
+                release.set()
+                view = await revive
+                assert view.rounds_merged == 0
+                assert service.metrics()["durability"]["revivals"] == 1
+
+        run(scenario())
+
+    def test_a_snapshot_that_vanished_mid_revive_is_unknown(self, tmp_path, monkeypatch):
+        async def scenario():
+            async with RefinementService(
+                state_dir=str(tmp_path / "state"), max_sessions=1
+            ) as service:
+                first = await service.create_session(
+                    make_prior(0), CrowdModel(0.8), budget=6
+                )
+                await service.create_session(make_prior(1), CrowdModel(0.8), budget=6)
+                store = service._registry._store
+                load = store.load
+
+                def vanished(session_id):
+                    # The file goes between the existence check and the read.
+                    store.delete(session_id)
+                    return load(session_id)
+
+                monkeypatch.setattr(store, "load", vanished)
+                with pytest.raises(UnknownSessionError):
+                    await service.get_posterior(first.session_id)
+                assert service.metrics()["durability"]["revivals"] == 0
+
+        run(scenario())
+
+
 class TestSnapshotWrites:
     def test_no_snapshot_write_runs_on_the_event_loop(self, tmp_path, monkeypatch):
         # Each write fsyncs, and a write on the loop thread stalls every
