@@ -63,16 +63,27 @@ bench-smoke:
 # parent; pooled greedy and greedy_lazy rounds equal to serial ones),
 # the merge-oracle suite (count-table and factor-gather likelihoods, session
 # merges and merge_answers vs. the 5.0 per-row merge kept in the test tree,
-# bit for bit on both mask layouts), and the wide_facts benchmark scenario.
+# bit for bit on both mask layouts), the partition suite (the int32
+# partitions a state builds on first read, however it was made: extend with
+# and without a scan, a worker's refresh from a prefix or from scratch, a
+# chain nothing read, all equal to the eager int64 refinement; k-1 of them
+# per serial k=3 select, and none in a pooled parent, under tracemalloc),
+# the in-place merge suite (the blocked session merge vs. the 5.0 per-row
+# merge around the block size on both layouts, the prior copied once, no
+# write before every column is fetched or when all mass would go, no
+# column-sized allocation per merge under tracemalloc), and the wide_facts
+# benchmark scenario.
 engine-smoke:
 	$(PYTEST) -q \
 		tests/core/test_bitplanes.py \
 		tests/core/test_distribution.py \
 		tests/core/test_merge_oracle.py \
+		tests/core/test_merge_in_place.py \
 		tests/datasets/test_scale.py \
 		tests/core/selection/test_wide_facts.py \
 		tests/core/selection/test_batched_scan.py \
-		tests/core/selection/test_histogram_scan.py
+		tests/core/selection/test_histogram_scan.py \
+		tests/core/selection/test_partition.py
 	$(PYTEST) -q benchmarks/bench_wide_facts.py
 
 # The fault-injection chaos suite: worker kills mid-scan, hung dispatches,

@@ -58,6 +58,7 @@ from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     GreedySelector,
     ParallelPolicy,
+    PooledEvaluator,
     QueryGreedySelector,
     RefinementSession,
     get_selector,
@@ -670,7 +671,7 @@ def test_parallel_sharding_on_scale_corpus():
         assert speedup >= MIN_PARALLEL_SPEEDUP, entry
 
 
-def test_parallel_pool_keeps_pace_with_the_serial_scan():
+def test_parallel_pool_keeps_pace_with_the_serial_scan(monkeypatch):
     """A warm 2-worker session against a serial one, select for select.
 
     Both refine the scale corpus for :data:`PACE_ROUNDS` rounds of k=3 with
@@ -678,7 +679,11 @@ def test_parallel_pool_keeps_pace_with_the_serial_scan():
     which side goes first, so a host phase lands on both.  The pooled
     selects may take at most :data:`MAX_POOLED_OVER_SERIAL` of the serial
     ones' time on a host with two usable CPUs, and
-    :data:`MAX_POOLED_OVER_SERIAL_ONE_CPU` on one.
+    :data:`MAX_POOLED_OVER_SERIAL_ONE_CPU` on one.  Each pooled select is
+    split into its time inside ``PooledEvaluator.evaluate`` (dispatch, the
+    workers' scans, gathering their tables) and the parent's remainder
+    (``initial_state``, ranking, commits), so a failing row shows which
+    side slowed.
     """
     distribution = generate_scale_distribution(
         ScaleCorpusConfig(num_facts=SCALE_FACTS, support_size=SCALE_SUPPORT, seed=SEED)
@@ -691,13 +696,26 @@ def test_parallel_pool_keeps_pace_with_the_serial_scan():
     policy = ParallelPolicy(workers=PACE_WORKERS, parallel_threshold=0)
     serial_session = RefinementSession(distribution, crowd)
     seconds = {"serial": [], "pooled": []}
+    evaluate_seconds = [0.0]
+    pooled_evaluate = PooledEvaluator.evaluate
+
+    def timed_evaluate(evaluator, state, candidates):
+        started = time.perf_counter()
+        try:
+            return pooled_evaluate(evaluator, state, candidates)
+        finally:
+            evaluate_seconds[-1] += time.perf_counter() - started
+
+    monkeypatch.setattr(PooledEvaluator, "evaluate", timed_evaluate)
     with RefinementSession(distribution, crowd, parallel=policy) as pooled_session:
         sessions = {"serial": serial_session, "pooled": pooled_session}
         # Warm: fork the pool and fill both engines' bit and slice caches.
         for session in sessions.values():
             session.select(selector, k)
+        del evaluate_seconds[:]
         for round_index in range(PACE_ROUNDS):
             order = ("serial", "pooled") if round_index % 2 == 0 else ("pooled", "serial")
+            evaluate_seconds.append(0.0)
             results = {}
             for side in order:
                 started = time.perf_counter()
@@ -711,6 +729,9 @@ def test_parallel_pool_keeps_pace_with_the_serial_scan():
                 session.merge(_scripted_answers(serial.task_ids, round_index))
 
     ratio = sum(seconds["pooled"]) / sum(seconds["serial"])
+    parent_seconds = [
+        select - evaluate for select, evaluate in zip(seconds["pooled"], evaluate_seconds)
+    ]
     limit = MAX_POOLED_OVER_SERIAL if cpus_usable >= 2 else MAX_POOLED_OVER_SERIAL_ONE_CPU
     entry = {
         "suite": "parallel",
@@ -719,7 +740,10 @@ def test_parallel_pool_keeps_pace_with_the_serial_scan():
             f"warm {PACE_WORKERS}-worker session (candidates split by mask "
             "slice, one slice histogram per worker per slice) vs. a serial "
             "session, selects timed in alternating order. Selections and "
-            f"objectives bit-identical; pooled/serial must stay <= {limit}."
+            f"objectives bit-identical; pooled/serial must stay <= {limit}. "
+            "Each pooled select splits into its time inside "
+            "PooledEvaluator.evaluate (dispatch and the workers' scans) and "
+            "the parent's remainder."
         ),
         "num_facts": SCALE_FACTS,
         "k": k,
@@ -730,7 +754,11 @@ def test_parallel_pool_keeps_pace_with_the_serial_scan():
         "cpus_usable": cpus_usable,
         "serial_select_seconds": seconds["serial"],
         "pooled_select_seconds": seconds["pooled"],
+        "pooled_evaluate_seconds": evaluate_seconds,
+        "pooled_parent_seconds": parent_seconds,
         "pooled_over_serial": ratio,
+        "evaluate_over_serial": sum(evaluate_seconds) / sum(seconds["serial"]),
+        "parent_over_serial": sum(parent_seconds) / sum(seconds["serial"]),
         "limit": limit,
         "identical_selections": True,
     }

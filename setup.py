@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="6.0.0",
+    version="6.1.0",
     description=(
         "CrowdFusion: a crowdsourced approach on data fusion refinement "
         "(ICDE 2017) — full reproduction"

@@ -71,13 +71,6 @@ def unpack_planes(planes: np.ndarray) -> List[int]:
     ]
 
 
-def plane_bit_column(planes: np.ndarray, position: int) -> np.ndarray:
-    """0/1 ``int8`` column of bit ``position`` over all rows of the planes."""
-    word = position >> 6
-    shift = np.uint64(position & 63)
-    return ((planes[:, word] >> shift) & np.uint64(1)).astype(np.int8)
-
-
 def project_planes(planes: np.ndarray, positions: "Sequence[int]") -> np.ndarray:
     """Packed-plane counterpart of :func:`repro.core.entropy.project_columns`.
 

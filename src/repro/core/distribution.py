@@ -416,6 +416,15 @@ class JointDistribution:
         cached :meth:`support_arrays`.  No ``mask -> probability`` dict is
         built here: the first dict read builds it from those arrays.
         """
+        return cls._from_arrays(fact_ids, masks, masses, normalise=True)
+
+    @classmethod
+    def _from_arrays(
+        cls, fact_ids: Sequence[str], masks: np.ndarray, masses: np.ndarray, normalise: bool
+    ) -> "JointDistribution":
+        """:meth:`from_support_arrays`, or without ``normalise`` the kept
+        masses verbatim (copied, never divided again): how a refinement
+        session materialises its engine's already-normalised posterior."""
         fact_ids = tuple(fact_ids)
         masses = np.asarray(masses, dtype=np.float64)
         keep = masses > 0.0
@@ -424,7 +433,11 @@ class JointDistribution:
         if not keep.all():
             masks = masks[keep]
             masses = masses[keep]
-        masses = masses / masses.sum()
+        elif not normalise:
+            # A copy: a session's engine updates its vector in place.
+            masses = masses.copy()
+        if normalise:
+            masses = masses / masses.sum()
         if len(fact_ids) > 63 and masks.ndim == 1:
             masks = pack_masks(masks, len(fact_ids))
         elif len(fact_ids) <= 63 and masks.ndim == 2:

@@ -30,7 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitplanes import plane_bit_column, project_planes
+from repro.core.bitplanes import project_planes
+
+#: Rows per block of :func:`bit_column`: the shifted words of a block stay
+#: in cache.
+_BIT_COLUMN_BLOCK = 1 << 15
 
 #: 16-bit popcount lookup table; :func:`popcount_array` indexes it four times
 #: (shifts of 0/16/32/48) to cover the full int64 range — support masks carry
@@ -86,11 +90,19 @@ def bit_column(masks: np.ndarray, position: int) -> np.ndarray:
     The single dispatch point the bit-column consumers (the engine's cached
     columns, Bayesian merging, distribution marginals) share: an ``int64``
     column uses the shift/AND idiom, packed uint64 planes extract from the
-    word holding the bit.
+    word holding the bit.  The words are shifted one block of rows at a
+    time, so no temporary of 8 bytes per support row is written.
     """
     if masks.ndim == 2:
-        return plane_bit_column(masks, position)
-    return ((masks >> position) & 1).astype(np.int8, copy=False)
+        words, shift, one = masks[:, position >> 6], np.uint64(position & 63), np.uint64(1)
+    else:
+        words, shift, one = masks, position, 1
+    column = np.empty(words.shape[0], dtype=np.int8)
+    for start in range(0, words.shape[0], _BIT_COLUMN_BLOCK):
+        block = words[start:start + _BIT_COLUMN_BLOCK] >> shift
+        block &= one
+        column[start:start + _BIT_COLUMN_BLOCK] = block
+    return column
 
 
 def _flip(array: np.ndarray, axis: int) -> np.ndarray:

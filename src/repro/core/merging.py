@@ -13,12 +13,15 @@ selection expected is exactly what merging applies.
 
 Both are computed from the answered facts' 0/1 support columns.  A uniform
 round has only ``k + 1`` distinct likelihoods, one per count of disagreeing
-answers, so each row gathers its value from a ``(k + 1)``-entry table.
+answers, so each row gathers its value from a ``(k + 1)``-entry table.  The
+columns are read in row ranges, so a refinement session can multiply a
+round into its posterior block by block, in place.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import functools
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -39,70 +42,125 @@ def answer_likelihood_array(
     ``i`` of the result multiplies the mass of ``support_arrays()[0][i]``.
     """
     masks, _ = distribution.support_arrays()
-    return _column_likelihoods(
+    likelihoods = _ColumnLikelihoods(
         answers, crowd, lambda fact_id: bit_column(masks, distribution.position(fact_id))
     )
+    rows = masks.shape[0]
+    return likelihoods.fill(0, rows, np.empty(rows), np.empty(rows, dtype=np.intp))
 
 
-def _column_likelihoods(
-    answers: AnswerSet,
-    crowd: ChannelModel,
-    column_of: Callable[[str], np.ndarray],
-) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _uniform_table(accuracy: float, k: int) -> Tuple[np.ndarray, float, np.dtype]:
+    """``(table, smallest entry, count type)`` of ``k`` answers at ``accuracy``.
+
+    ``table[d]`` is ``Pc^(k−d) · (1 − Pc)^d``, the likelihood of a row that
+    disagrees with ``d`` answers, taken as NumPy's array power over int64
+    exponents, as the per-row formula took it: Python's scalar ``**``
+    (libm's pow) may differ in the last bit (it does at Pc = 0.8).  Cached
+    (read-only) because every round of a session asks for the same table,
+    and on a paper-size book building it costs about a third of the merge.
+    """
+    diff = np.arange(k + 1)
+    table = (accuracy ** (k - diff)) * ((1.0 - accuracy) ** diff)
+    table.setflags(write=False)
+    # The narrowest signed type that holds k (its negative range holds -k - 1).
+    return table, min(table.tolist()), np.min_scalar_type(-k - 1)
+
+
+class _ColumnLikelihoods:
     """``P(Ans | o)`` per support row from the answered facts' 0/1 columns.
 
     ``column_of(fact_id)`` returns the fact's ``int8`` 0/1 column over the
     support (``bit_column`` of the masks, or a session engine's cached
     ``EntropyEngine.bits``) and raises ``InvalidFactError`` for an unknown
-    fact.  The columns are only read: every array written here is fresh.
+    fact.  Every column is fetched here, before any row is computed, so a
+    caller that writes as it goes (a session merge reweighting in place)
+    has raised before its first write.  The columns are only read.
 
     A uniform channel's likelihood depends only on how many of the ``k``
     answers disagree with the row, so each row's disagreement count indexes
     a ``(k + 1)``-entry table.  The table is the same NumPy array power the
     per-row formula ``Pc^#Same · (1 − Pc)^#Diff`` takes, so every entry is
     bit-identical to it.  A heterogeneous channel multiplies one gathered
-    ``(1 − acc, acc)`` factor per answer, in answer order.
+    ``(1 − acc, acc)`` factor per answer, in answer order.  Either way a
+    row's float does not depend on which row range :meth:`fill` computes it
+    in, and :attr:`smallest` bounds every row's likelihood from below
+    (rounding is monotonic).
     """
-    judgments = answers.judgments()
-    if not judgments:
-        raise SelectionError("cannot merge an empty answer set")
 
-    uniform = crowd.uniform_accuracy
-    if uniform is not None:
-        k = len(judgments)
-        # Every row starts at the number of "true" answers, loses one per
-        # true-answered fact it holds and gains one per false-answered fact
-        # it holds: its disagreement count, which never leaves [0, k].
-        trues = sum(judgments.values())
-        dtype = np.min_scalar_type(k)
-        counts = None
+    __slots__ = ("_columns", "_trues", "_count_type", "_table", "_pairs", "smallest")
+
+    def __init__(
+        self,
+        answers: AnswerSet,
+        crowd: ChannelModel,
+        column_of: Callable[[str], np.ndarray],
+    ):
+        judgments = answers.judgments()
+        if not judgments:
+            raise SelectionError("cannot merge an empty answer set")
+        self._columns = [
+            (column_of(fact_id), judgment) for fact_id, judgment in judgments.items()
+        ]
+        uniform = crowd.uniform_accuracy
+        if uniform is not None:
+            # Every row starts at the number of "true" answers, loses one per
+            # true-answered fact it holds and gains one per false-answered
+            # fact it holds: its disagreement count, which never leaves [0, k].
+            self._trues = sum(judgments.values())
+            self._table, self.smallest, self._count_type = _uniform_table(
+                uniform, len(judgments)
+            )
+            return
+        self._trues = None
+        # pairs[i][bit]: the probability of answer i given the row's truth bit.
+        self._pairs = []
+        smallest = 1.0
         for fact_id, judgment in judgments.items():
-            bits = column_of(fact_id).view(np.uint8)
-            if counts is None:
-                counts = (np.subtract if judgment else np.add)(trues, bits, dtype=dtype)
+            accuracy = crowd.accuracy_for(fact_id)
+            pair = (1.0 - accuracy, accuracy) if judgment else (accuracy, 1.0 - accuracy)
+            self._pairs.append(np.array(pair, dtype=np.float64))
+            smallest *= min(pair)
+        self.smallest = smallest
+
+    def fill(
+        self, start: int, stop: int, out: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        """The likelihoods of rows ``[start, stop)``, written into ``out``.
+
+        ``out`` (``float64``) and ``scratch`` (``intp``) are ``stop - start``
+        entries long; the result is ``out``.  A uniform round allocates
+        nothing else: its counts are summed in the narrowest signed type, in
+        ``out``'s bytes (the gather overwrites them last), and widened into
+        ``scratch``, since ``take`` copies any index type but ``intp``.  A
+        heterogeneous round lets ``take`` make that copy, and gathers every
+        answer after the first into a fresh array: block-sized temporaries,
+        which on a paper-size book cost less than writing into buffers.
+        """
+        if self._trues is None:
+            for index, ((column, _judgment), pair) in enumerate(
+                zip(self._columns, self._pairs)
+            ):
+                bits = column[start:stop]
+                if index == 0:
+                    pair.take(bits, out=out, mode="clip")
+                else:
+                    out *= pair.take(bits)
+            return out
+        counts = out.view(self._count_type)[: stop - start]
+        for index, (column, judgment) in enumerate(self._columns):
+            bits = column[start:stop]
+            if index == 0:
+                (np.subtract if judgment else np.add)(
+                    self._trues, bits, dtype=self._count_type, out=counts
+                )
             elif judgment:
                 counts -= bits
             else:
                 counts += bits
-        # NumPy's array power over int64 exponents, as the per-row formula
-        # took it: Python's scalar ``**`` (libm's pow) may differ in the last
-        # bit (it does at Pc = 0.8).
-        diff = np.arange(k + 1)
-        table = (uniform ** (k - diff)) * ((1.0 - uniform) ** diff)
-        return table.take(counts)
-
-    values = None
-    for fact_id, judgment in judgments.items():
-        bits = column_of(fact_id).view(np.uint8)
-        accuracy = crowd.accuracy_for(fact_id)
-        # factors[bit]: the probability of this answer given the row's truth bit.
-        pair = (1.0 - accuracy, accuracy) if judgment else (accuracy, 1.0 - accuracy)
-        factors = np.array(pair, dtype=np.float64).take(bits)
-        if values is None:
-            values = factors
-        else:
-            values *= factors
-    return values
+        np.copyto(scratch, counts)
+        # "clip" writes into ``out`` as it is; the counts are in range.
+        return self._table.take(scratch, out=out, mode="clip")
 
 
 def answer_likelihoods(

@@ -59,8 +59,7 @@ over an entire multi-round run instead of rebuilding it after every merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,6 +101,11 @@ _WEIGHTED_CACHE_MAX_SUPPORT = 1 << 18
 #: keeps for :meth:`extend`.
 _SCAN_BLOCK_MAX_ENTRIES = 1 << 20
 
+#: Rows per block of an in-place reweight (:meth:`EntropyEngine._reweight_blocks`):
+#: a block's weights are multiplied in while they are still in cache, and
+#: its two buffers (256 KB each) are kept for every later reweight.
+_REWEIGHT_BLOCK_ROWS = 1 << 15
+
 #: Bits per support-mask slice of the histogram scan.  Slices are cached as
 #: ``uint8`` columns, and 8 divides 64, so no slice straddles a plane word.
 _SLICE_BITS = 8
@@ -120,7 +124,6 @@ _SLICE_BIT_TABLE = (
 ).astype(np.float64)
 
 
-@dataclass(frozen=True)
 class SelectionState:
     """Cached per-round state of an incrementally grown task set.
 
@@ -137,12 +140,16 @@ class SelectionState:
         interest; equals ``entropy`` for engines without interest cells
         (one cell holding the whole support).
     projection:
-        Per-support-row projection onto the selected tasks; the most recently
-        selected task occupies the least significant bit.
+        Per-support-row ``int32`` projection onto the selected tasks; the
+        most recently selected task occupies the least significant bit.
     combined:
-        Per-support-row bincount key ``(cell << width) | projection``; the
-        very ``projection`` array for engines without interest cells.  Both
-        arrays are read-only, since states and engines share them.
+        Per-support-row ``int32`` bincount key ``(cell << width) |
+        projection``; the very ``projection`` array for engines without
+        interest cells.  Both arrays are read-only, since states and engines
+        share them, and both are built on first read: a state records only
+        its base state and the bit columns committed since, so a state that
+        nothing scans (a pooled parent's, a selection's last) never writes a
+        support-sized array.
     table:
         Noise-convolved mass table of shape ``(num_cells, 2**width)``:
         ``table[c, a]`` is the joint probability of interest cell ``c`` and
@@ -151,16 +158,78 @@ class SelectionState:
         Per-bit channel accuracies aligned with ``projection`` (least
         significant bit first, i.e. reverse selection order); ``None`` for
         uniform channel models, whose single accuracy lives on the engine.
+
+    States are immutable once built; only :class:`EntropyEngine` makes them.
     """
 
-    task_ids: Tuple[str, ...]
-    width: int
-    entropy: float
-    joint_entropy: float
-    projection: np.ndarray
-    combined: np.ndarray
-    table: np.ndarray
-    bit_accuracies: Optional[np.ndarray] = None
+    __slots__ = (
+        "task_ids",
+        "width",
+        "entropy",
+        "joint_entropy",
+        "table",
+        "bit_accuracies",
+        "_engine",
+        "_base",
+        "_columns",
+        "_partition",
+    )
+
+    def __init__(
+        self,
+        engine: "EntropyEngine",
+        task_ids: Tuple[str, ...],
+        entropy: float,
+        joint_entropy: float,
+        table: np.ndarray,
+        bit_accuracies: Optional[np.ndarray],
+        base: "Optional[SelectionState]",
+        columns: Tuple[np.ndarray, ...],
+    ):
+        self.task_ids = task_ids
+        self.width = len(task_ids)
+        self.entropy = entropy
+        self.joint_entropy = joint_entropy
+        self.table = table
+        self.bit_accuracies = bit_accuracies
+        self._engine = engine
+        #: Until the partition is built: the state it refines (``None`` for
+        #: the empty set) and the 0/1 columns of the tasks committed since.
+        self._base = base
+        self._columns = columns
+        self._partition: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def projection(self) -> np.ndarray:
+        partition = self._partition
+        if partition is None:
+            partition = self._build()
+        return partition[0]
+
+    @property
+    def combined(self) -> np.ndarray:
+        partition = self._partition
+        if partition is None:
+            partition = self._build()
+        return partition[1]
+
+    def _build(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Refine the partition from the nearest built ancestor, once.
+
+        The ancestors in between stay unbuilt, and the links go once built,
+        so a state never keeps an older state's arrays alive.
+        """
+        links = []
+        state: Optional[SelectionState] = self
+        while state is not None and state._partition is None:
+            links.append(state._columns)
+            state = state._base
+        columns = [column for link in reversed(links) for column in link]
+        base = None if state is None else state._partition[0]
+        self._partition = self._engine._partition(base, columns, self.width)
+        self._base = None
+        self._columns = ()
+        return self._partition
 
 
 class CandidateScan:
@@ -280,9 +349,11 @@ class EntropyEngine:
         from the same cached table.
     """
 
-    #: Whether this engine is an :meth:`interest_view` snapshot (views share
-    #: the parent's probability vector and therefore refuse to reweight).
-    _is_view = False
+    #: The engine an :meth:`interest_view` shares its probability vector
+    #: with (``None`` for an engine that owns its vector), and that engine's
+    #: :attr:`reweights` when the view was made.
+    _parent: Optional["EntropyEngine"] = None
+    _parent_reweights = 0
 
     def __init__(
         self,
@@ -295,6 +366,10 @@ class EntropyEngine:
         self._uniform = crowd.uniform_accuracy
         self._masks, self._probabilities = distribution.support_arrays()
         self._cell_index, self._num_cells = self._build_interest_cells(interest_ids)
+        #: The empty set's ``(projection, combined)``, built on first read.
+        self._empty: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: ``(out, scratch)`` block buffers of :meth:`_reweight_blocks`.
+        self._buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._bits: Dict[str, np.ndarray] = {}
         #: ``uint8`` mask slices of the histogram scan, by slice index.
         self._slices: Dict[int, np.ndarray] = {}
@@ -329,8 +404,8 @@ class EntropyEngine:
             num_cells = int(cell_index.max()) + 1
         else:
             cell_index, num_cells = np.zeros(self._masks.shape[0], dtype=np.int64), 1
-        # Selection states share it as their empty-set key.
-        cell_index.setflags(write=False)
+        # A writeable ``intp`` column, private to the engine: ``bincount``
+        # copies any other key array, read-only ones included.
         return cell_index, num_cells
 
     @property
@@ -370,7 +445,7 @@ class EntropyEngine:
 
         Stored as ``int8`` — one byte per support row — so a scale corpus
         (2^20 rows, hundreds of candidate facts) keeps its whole column cache
-        in tens of megabytes; every consumer (``|`` into an ``int64``
+        in tens of megabytes; every consumer (``|`` into an ``int32``
         projection, ``×`` into a float64 product, a session merge's
         likelihood gather) promotes losslessly.  The column is read-only:
         it is shared by every consumer and every interest view.
@@ -462,9 +537,12 @@ class EntropyEngine:
         dict object, so a column materialised for one query is warm for
         every other) and only computes the view's own cell index.
 
-        The view is a snapshot of the current probabilities: it must not be
-        reweighted (sessions rebuild their views after each merge), and its
-        evaluation counters are independent of the parent's.
+        The view is valid only until the parent's next reweight, which
+        writes the shared vector in place: from then on every selection call
+        on the view (:meth:`initial_state`, :meth:`scan`, :meth:`extend`,
+        :meth:`task_entropy`) raises :class:`SelectionError`, and sessions
+        rebuild their views after each merge.  A view cannot be reweighted
+        itself, and its evaluation counters are independent of the parent's.
         """
         view = EntropyEngine.__new__(EntropyEngine)
         view._distribution = self._distribution
@@ -478,15 +556,19 @@ class EntropyEngine:
         # every other (and for the parent).
         view._bits = self._bits
         view._slices = self._slices
-        # Everything that depends on the snapshot — the probability products,
-        # the channel accuracies — is seeded from the parent but kept
-        # private, so a later reweight or channel swap on the parent can
-        # never be poisoned by a stale view (nor vice versa).
+        # The probability products and the channel accuracies are seeded
+        # from the parent but kept private, so a view never writes the
+        # parent's caches.  The parent's next reweight writes the shared
+        # vector in place and leaves these products stale: the view refuses
+        # every use after it (_refuse_stale_view).
         view._accuracy = dict(self._accuracy)
         view._noise = dict(self._noise)
         view._weighted_bits = dict(self._weighted_bits)
         view._cell_index, view._num_cells = view._build_interest_cells(interest_ids)
-        view._is_view = True
+        view._empty = None
+        view._buffers = None
+        view._parent = self
+        view._parent_reweights = self.reweights
         view.evaluations = 0
         view.reweights = 0
         view.channel_swaps = 0
@@ -502,21 +584,10 @@ class EntropyEngine:
         ``weighted_bits`` products are invalidated.  Rows whose mass reaches
         exactly zero are kept (every consumer ignores non-positive mass),
         preserving row alignment for later reweights.  ``weights`` is only
-        read; a reweight that raises leaves the engine as it was.
+        read; a reweight that raises leaves the engine as it was.  The
+        update writes into :attr:`probabilities` (see
+        :meth:`_reweight_blocks`): copy it to keep the pre-update vector.
         """
-        self._reweight_owned(np.array(weights, dtype=np.float64))
-
-    def _reweight_owned(self, weights: np.ndarray) -> None:
-        """:meth:`reweight` by a fresh float64 column the caller gives up.
-
-        The product is taken in ``weights`` itself (``w·p`` is ``p·w`` bit
-        for bit), which saves a session merge one support-sized array.
-        """
-        if self._is_view:
-            raise SelectionError(
-                "interest views share their parent's probability vector and "
-                "cannot be reweighted; reweight the owning engine instead"
-            )
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != self._probabilities.shape:
             raise SelectionError(
@@ -526,14 +597,68 @@ class EntropyEngine:
         # One pass refuses NaN (it compares false) and negative weights alike.
         if not (weights >= 0.0).all():
             raise SelectionError("reweight weights must be non-negative numbers")
-        masses = np.multiply(weights, self._probabilities, out=weights)
-        total = masses.sum()
-        if total <= 0.0:
+        self._reweight_blocks(
+            float(weights.min()), lambda start, stop, _out, _scratch: weights[start:stop]
+        )
+
+    def _reweight_blocks(
+        self,
+        smallest: float,
+        block_weights: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray],
+    ) -> None:
+        """Multiply the posterior in place by per-block weights, then renormalise.
+
+        ``block_weights(start, stop, out, scratch)`` returns the weights of
+        rows ``[start, stop)``, no smaller than ``smallest``; it may write
+        them into ``out`` (``float64``) and use ``scratch`` (``intp``), two
+        block buffers of :data:`_REWEIGHT_BLOCK_ROWS` entries that the engine
+        keeps for every later reweight.  The floats are those of one
+        whole-column update: ``p·w`` per row, one pairwise sum over the
+        whole column, one division.  The read-only prior is replaced by a
+        fresh array on the first reweight and never written.
+
+        The posterior is normalised, so some row holds at least ``1/rows``
+        of its mass, and as long as ``smallest · 0.5/rows`` is positive no
+        weight can take all of that row's mass: the update cannot remove all
+        mass.  Only when that product is zero are the weights read once
+        before anything is written, so evidence that removes all mass raises
+        and leaves the engine as it was.
+        """
+        if self._parent is not None:
+            raise SelectionError(
+                "interest views share their parent's probability vector and "
+                "cannot be reweighted; reweight the owning engine instead"
+            )
+        probabilities = self._probabilities
+        rows = probabilities.shape[0]
+        if self._buffers is None:
+            size = min(rows, _REWEIGHT_BLOCK_ROWS)
+            self._buffers = (np.empty(size), np.empty(size, dtype=np.intp))
+        if not smallest * (0.5 / rows) > 0.0 and not any(
+            (probabilities[block] * weights > 0.0).any()
+            for block, weights in self._weight_blocks(block_weights)
+        ):
             raise SelectionError("reweighting removed all probability mass")
-        masses /= total
+        masses = probabilities if probabilities.flags.writeable else np.empty(rows)
+        for block, weights in self._weight_blocks(block_weights):
+            np.multiply(probabilities[block], weights, out=masses[block])
+        masses /= masses.sum()
         self._probabilities = masses
         self._weighted_bits.clear()
         self.reweights += 1
+
+    def _weight_blocks(
+        self, block_weights: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
+    ) -> Iterator[Tuple[slice, np.ndarray]]:
+        """``(rows, weights)`` of each block, the weights from ``block_weights``."""
+        out, scratch = self._buffers
+        size = out.shape[0]
+        rows = self._probabilities.shape[0]
+        for start in range(0, rows, size):
+            stop = min(start + size, rows)
+            if stop - start < size:
+                out, scratch = out[: stop - start], scratch[: stop - start]
+            yield slice(start, stop), block_weights(start, stop, out, scratch)
 
     def load_probabilities(self, probabilities: np.ndarray, reweights: int) -> None:
         """Replace the probability vector verbatim with a peer's snapshot.
@@ -546,7 +671,7 @@ class EntropyEngine:
         interest cells) stay valid exactly as they do across
         :meth:`reweight`; only the ``weighted_bits`` products are dropped.
         """
-        if self._is_view:
+        if self._parent is not None:
             raise SelectionError(
                 "interest views share their parent's probability vector and "
                 "cannot load snapshots; sync the owning engine instead"
@@ -561,50 +686,78 @@ class EntropyEngine:
         self._weighted_bits.clear()
         self.reweights = reweights
 
+    def _refuse_stale_view(self) -> None:
+        """Raise when this is a view whose parent has reweighted since."""
+        if self._parent is not None and self._parent.reweights != self._parent_reweights:
+            raise SelectionError(
+                "this interest view is stale: its parent engine has been "
+                "reweighted since the view was made; make a new view"
+            )
+
     # -- incremental path -----------------------------------------------------------
 
     def initial_state(self) -> SelectionState:
         """State of the empty task set (``H(T) = 0``, ``H(I, T) = H(I)``)."""
+        self._refuse_stale_view()
         cell_mass = np.bincount(
             self._cell_index, weights=self._probabilities, minlength=self._num_cells
         )
-        projection, combined = self._refine(self._empty_projection(), 0, ())
         return SelectionState(
+            self,
             task_ids=(),
-            width=0,
             entropy=0.0,
             joint_entropy=entropy_bits(cell_mass),
-            projection=projection,
-            combined=combined,
             table=cell_mass.reshape(self._num_cells, 1),
             bit_accuracies=None if self._uniform is not None else np.empty(0),
+            base=None,
+            columns=(),
         )
 
-    def _empty_projection(self) -> np.ndarray:
-        """The projection of the empty task set: zero on every support row."""
-        return np.zeros(self._masks.shape[0], dtype=np.int64)
-
-    def _refine(
-        self, projection: np.ndarray, width: int, fact_ids: Sequence[str]
+    def _partition(
+        self, projection: Optional[np.ndarray], columns: Sequence[np.ndarray], width: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The partition of ``width`` task bits refined by ``fact_ids``.
+        """``(projection, combined)`` of a state of ``width`` task bits.
 
-        Each fact in turn takes the least significant answer bit of
-        ``projection``.  Returns ``(projection, combined)``, both read-only:
-        ``combined`` keys a row by ``(cell << width) | projection``, which
-        with one cell is the projection itself (cell 0 shifts to 0).
+        ``projection`` (``None`` for the empty set) is refined by each 0/1
+        column in turn, each taking the least significant bit, in ``int32``:
+        a state holds at most :data:`_MAX_TASK_BITS` bits and keys below
+        :data:`_MAX_TABLE_ENTRIES`.  Both arrays are read-only; ``combined``
+        keys a row by ``(cell << width) | projection``, which with one cell
+        is the projection itself.
         """
-        for fact_id in fact_ids:
-            projection = (projection << 1) | self.bits(fact_id)
+        if not columns:
+            if projection is None:
+                return self._empty_partition()
+        elif projection is None:
+            projection = columns[0].astype(np.int32)
+            columns = columns[1:]
+        else:
+            projection = projection << 1
+            projection |= columns[0]
+            columns = columns[1:]
+        for column in columns:
+            projection <<= 1
+            projection |= column
         projection.setflags(write=False)
-        width += len(fact_ids)
         if self._num_cells == 1:
             return projection, projection
-        if width == 0:
-            return projection, self._cell_index
-        combined = (self._cell_index << width) | projection
+        combined = self._empty_partition()[1] << width
+        combined |= projection
         combined.setflags(write=False)
         return projection, combined
+
+    def _empty_partition(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The empty set's partition: zero projection, keyed by cell (cached)."""
+        if self._empty is None:
+            cells = self._cell_index.astype(np.int32)
+            cells.setflags(write=False)
+            if self._num_cells == 1:
+                self._empty = (cells, cells)
+            else:
+                projection = np.zeros_like(cells)
+                projection.setflags(write=False)
+                self._empty = (projection, cells)
+        return self._empty
 
     def _uses_histograms(self, state: SelectionState) -> bool:
         """Whether scans of ``state`` group through slice histograms."""
@@ -631,7 +784,10 @@ class EntropyEngine:
         mask slice the candidates touch; a candidate's table is the row sum
         of the bins where its bit is set.  The 0/1 product is exact and each
         ``(candidate, key)`` row sums its own contiguous bins, so a
-        candidate's floats do not depend on the rest of the block.
+        candidate's floats do not depend on the rest of the block.  The keys
+        of every slice go into one ``intp`` buffer (``bincount`` would copy
+        any other key type), and a one-cell, zero-width state's keys are the
+        ``uint8`` slice itself.
         """
         stride = self._num_cells << state.width
         bins = stride << _SLICE_BITS
@@ -641,13 +797,18 @@ class EntropyEngine:
         # Candidates per product: one slice's keys plus its products stay
         # under the block cap (at least one candidate at a time).
         chunk = max(1, (_SCAN_BLOCK_MAX_ENTRIES - self._masks.shape[0]) // bins)
-        shifted = state.combined << _SLICE_BITS
+        if stride > 1:
+            # Every key fits int32: the rule sends a state here only when the
+            # support holds 4 rows per bin, and 2^31 bins would need 2^33 rows.
+            shifted = state.combined << _SLICE_BITS
+            keys = np.empty(self._masks.shape[0], dtype=np.intp)
         grouped = np.empty((len(fact_ids), stride))
         for index in sorted(set(slices.tolist())):
+            column = self._mask_slice(index)
+            if stride > 1:
+                column = np.bitwise_or(shifted, column, out=keys)
             histogram = np.bincount(
-                shifted | self._mask_slice(index),
-                weights=self._probabilities,
-                minlength=bins,
+                column, weights=self._probabilities, minlength=bins
             ).reshape(stride, 1 << _SLICE_BITS)
             members = np.flatnonzero(slices == index)
             for start in range(0, members.size, chunk):
@@ -724,6 +885,7 @@ class EntropyEngine:
         large enough for slice histograms.  The state is not mutated.  Adds
         one to :attr:`evaluations` per candidate.
         """
+        self._refuse_stale_view()
         fact_ids = tuple(fact_ids)
         self.evaluations += len(fact_ids)
         entropies: List[float] = []
@@ -749,14 +911,17 @@ class EntropyEngine:
         fact_id: str,
         scan: Optional[CandidateScan] = None,
     ) -> SelectionState:
-        """Commit ``fact_id`` into the state, refining the cached partition.
+        """Commit ``fact_id`` into the state.
 
         ``scan`` — the :meth:`scan` of ``state`` that ranked ``fact_id`` —
         supplies the new answer tables and entropies; without it (or when the
         scan kept no tables for ``fact_id``) the candidate is scored as a
         block of one, which yields the identical floats.  Either way the
-        commit adds nothing to :attr:`evaluations`.
+        commit adds nothing to :attr:`evaluations`.  The new state records
+        ``fact_id``'s bit column; its partition is refined by the first scan
+        that reads it.
         """
+        self._refuse_stale_view()
         width = state.width + 1
         if width > _MAX_TASK_BITS or (self._num_cells << width) > _MAX_TABLE_ENTRIES:
             raise SelectionError(
@@ -777,10 +942,9 @@ class EntropyEngine:
         answer_false, answer_true, task_entropy, joint_entropy = scored
         table = np.empty((self._num_cells, 1 << width))
         # The new task takes the least significant answer bit, matching the
-        # projection refinement below.
+        # partition refinement.
         table[:, 0::2] = answer_false
         table[:, 1::2] = answer_true
-        projection, combined = self._refine(state.projection, state.width, (fact_id,))
         if state.bit_accuracies is None:
             bit_accuracies = None
         else:
@@ -788,14 +952,14 @@ class EntropyEngine:
                 ([self.accuracy_for(fact_id)], state.bit_accuracies)
             )
         return SelectionState(
+            self,
             task_ids=state.task_ids + (fact_id,),
-            width=width,
             entropy=task_entropy,
             joint_entropy=joint_entropy,
-            projection=projection,
-            combined=combined,
             table=table,
             bit_accuracies=bit_accuracies,
+            base=state,
+            columns=(self.bits(fact_id),),
         )
 
     def _refresh_state(
@@ -810,29 +974,28 @@ class EntropyEngine:
         """The state of ``task_ids`` built from a peer engine's scores.
 
         A pool worker's catch-up with its parent: ``table``, the entropies
-        and ``bit_accuracies`` are the parent state's, adopted verbatim, so
-        only the partition is refined here — one bit per task past
-        ``state``'s prefix, or from the empty set when ``state`` is ``None``
-        or not a prefix of ``task_ids``.  A ``state`` already at
-        ``task_ids`` is returned as it is (the same engine generation scores
-        the same tasks to the same floats).  No candidate is scored.
+        and ``bit_accuracies`` are the parent state's, adopted verbatim, and
+        the new state records only the bit columns of the tasks past
+        ``state``'s prefix, or of every task when ``state`` is ``None`` or
+        not a prefix of ``task_ids``; its partition is refined from there by
+        the first scan that reads it.  A ``state`` already at ``task_ids`` is
+        returned as it is (the same engine generation scores the same tasks
+        to the same floats).  No candidate is scored.
         """
         if state is not None and state.task_ids == task_ids:
             return state
         if state is None or state.task_ids != task_ids[: state.width]:
-            projection, done = self._empty_projection(), 0
-        else:
-            projection, done = state.projection, state.width
-        projection, combined = self._refine(projection, done, task_ids[done:])
+            state = None
+        done = 0 if state is None else state.width
         return SelectionState(
+            self,
             task_ids=task_ids,
-            width=len(task_ids),
             entropy=entropy,
             joint_entropy=joint_entropy,
-            projection=projection,
-            combined=combined,
             table=table,
             bit_accuracies=bit_accuracies,
+            base=state,
+            columns=tuple(self.bits(fact_id) for fact_id in task_ids[done:]),
         )
 
     # -- from-scratch path ----------------------------------------------------------
@@ -843,6 +1006,7 @@ class EntropyEngine:
         Used by the brute-force (OPT) selector, where task sets are not grown
         incrementally.
         """
+        self._refuse_stale_view()
         positions = self._distribution.positions(task_ids)
         k = len(positions)
         if k > _MAX_TASK_BITS:

@@ -21,10 +21,12 @@ This module shards the scan across one ``multiprocessing`` pool, the
   tables coming back.
 * **Scores shipped, partition refined** — the incremental
   :class:`~repro.core.selection.engine.SelectionState` grows by one task per
-  iteration.  Its support-sized arrays (the projection) never travel: each
-  worker keeps its own state per engine and refines its projection by one
-  bit per newly committed task.  Its scores — the ``cells · 2^width`` table,
-  the entropies and the per-bit accuracies — travel in the dispatch and are
+  iteration.  Its support-sized arrays (the ``int32`` partition) never
+  travel: each worker keeps its own state per engine, records the bit
+  columns of the newly committed tasks, and its scan refines the partition
+  from there.  The parent never reads its own states' partitions, so it
+  never builds them.  The scores — the ``cells · 2^width`` table, the
+  entropies and the per-bit accuracies — travel in the dispatch and are
   adopted verbatim (:meth:`EntropyEngine._refresh_state`), so no worker ever
   re-scores a committed task, and every worker-computed float is exactly
   the one the serial scan produces.
@@ -501,10 +503,10 @@ def _score_chunk(
     stale channel model is replayed through ``set_channel`` (the same call
     the parent's session made); either sync drops the worker's selection
     state, whose cached tables embed the old probabilities and channel
-    accuracies.  The state is then brought up to the parent's: its
-    projection refined by one bit per newly committed task (from the empty
-    set when the prefix no longer matches — a fresh selection) and its
-    scores adopted from ``basis``.  Per-engine states live in
+    accuracies.  The state is then brought up to the parent's: it records
+    the bit column of each newly committed task (of every task when the
+    prefix no longer matches — a fresh selection), adopts its scores from
+    ``basis``, and the scan refines its partition.  Per-engine states live in
     :data:`_WORKER_STATES`, so interleaved dispatches for different engines
     never invalidate each other's incremental state.
     """

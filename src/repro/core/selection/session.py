@@ -16,7 +16,8 @@ A :class:`RefinementSession` owns one engine for the lifetime of a run:
   selector (all greedy variants), so every round's scan starts from warm
   caches;
 * :meth:`RefinementSession.merge` applies a round's answers as a pure array
-  reweight (:meth:`EntropyEngine.reweight`) — no dict materialisation at all;
+  reweight, in place on the engine's probability vector — no dict
+  materialisation at all;
 * marginals, entropy/utility and predicted labels are computed directly from
   the cached arrays, and a full :class:`JointDistribution` posterior is only
   materialised on demand (:attr:`RefinementSession.distribution`).
@@ -62,7 +63,7 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel, RecalibratedChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.entropy import entropy_bits
-from repro.core.merging import _column_likelihoods
+from repro.core.merging import _ColumnLikelihoods
 from repro.core.query import Query
 from repro.core.selection.base import SelectionResult, TaskSelector
 from repro.core.selection.engine import EntropyEngine
@@ -242,8 +243,10 @@ class RefinementSession:
 
         The session's own engine when it was built for exactly this interest
         set; otherwise a cached :meth:`EntropyEngine.interest_view` — shared
-        support arrays and bit columns, per-query interest cells.  Views are
-        snapshots of the current posterior and are rebuilt after each merge.
+        support arrays and bit columns, per-query interest cells.  A view
+        shares the engine's probability vector, which a merge writes in
+        place, so views are rebuilt after each merge and a view kept across
+        one raises :class:`~repro.exceptions.SelectionError` when used.
         """
         key = tuple(interest_ids)
         if key == self._interest_ids:
@@ -280,12 +283,15 @@ class RefinementSession:
         """The current posterior, materialised on demand and cached until the
         next merge.  Support rows whose mass reached exactly zero are dropped
         from the materialised object (matching :func:`merge_answers`), while
-        the session itself keeps them for row alignment."""
+        the session itself keeps them for row alignment.  The masses are
+        the engine's, copied and not renormalised, so they equal
+        ``engine.probabilities`` bit for bit."""
         if self._materialized is None:
-            self._materialized = JointDistribution.from_support_arrays(
+            self._materialized = JointDistribution._from_arrays(
                 self._initial.fact_ids,
                 self._engine.support_masks,
                 self._engine.probabilities,
+                normalise=False,
             )
         return self._materialized
 
@@ -350,20 +356,23 @@ class RefinementSession:
 
         A pure array update: the likelihoods are computed from the engine's
         cached bit columns of the answered facts and multiplied into the
-        engine's probability vector.  Invalidates the materialised posterior
-        and every interest view (they snapshot the pre-merge probabilities).
-        When re-calibration is on, each answer's agreement with the
-        *pre-merge* posterior is read before the reweight — prequential
-        scoring: the answer is judged by the belief state that existed before
-        it was folded in, so it can never endorse itself — and counted, with
-        the per-fact accuracy estimates refreshed, only once the reweight
+        engine's probability vector in place, block by block
+        (:meth:`EntropyEngine._reweight_blocks`), so a merge allocates no
+        support-sized array after the first.  Every answered column is
+        fetched before anything is written.  Invalidates the materialised
+        posterior and drops every interest view (a view shares the vector the
+        merge writes, and refuses use once its engine has merged).  When
+        re-calibration is on, each answer's agreement with the *pre-merge*
+        posterior is read before the reweight — prequential scoring: the
+        answer is judged by the belief state that existed before it was
+        folded in, so it can never endorse itself — and counted, with the
+        per-fact accuracy estimates refreshed, only once the reweight
         succeeded.  A merge that raises (an unknown fact, evidence that
         removes all mass) leaves the session as it was.
         """
-        weights = _column_likelihoods(answers, self._channel, self._engine.bits)
+        likelihoods = _ColumnLikelihoods(answers, self._channel, self._engine.bits)
         agreements = self._agreements(answers) if self._recalibrate else None
-        # The likelihood column is fresh and ours: the engine reweights in it.
-        self._engine._reweight_owned(weights)
+        self._engine._reweight_blocks(likelihoods.smallest, likelihoods.fill)
         self._materialized = None
         self._views.clear()
         self._rounds_merged += 1

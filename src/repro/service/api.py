@@ -176,13 +176,20 @@ def encode_distribution(distribution: JointDistribution) -> Dict[str, Any]:
 
 
 def decode_distribution(payload: Mapping[str, Any]) -> JointDistribution:
+    """A client's distribution, normalised."""
+    return _decode_distribution(payload, normalise=True)
+
+
+def _decode_distribution(payload: Mapping[str, Any], normalise: bool) -> JointDistribution:
+    """The distribution ``payload`` encodes; without ``normalise`` its masses
+    are kept verbatim and must already sum to one (within 1e-6)."""
     try:
         fact_ids = [str(fact_id) for fact_id in payload["fact_ids"]]
         entries = {int(mask): float(probability) for mask, probability in payload["entries"]}
     except (KeyError, TypeError, ValueError) as error:
         raise ValidationFailedError(f"malformed distribution payload: {error}") from None
     try:
-        return JointDistribution(fact_ids, entries)
+        return JointDistribution(fact_ids, entries, normalise=normalise)
     except CrowdFusionError as error:
         raise ValidationFailedError(f"invalid distribution: {error}") from None
 

@@ -7,8 +7,9 @@ atomic tmp-write-then-rename substrate the experiment orchestrator
 checkpoints with (:func:`repro.orchestration.journal.atomic_write_json`).
 The registry writes snapshots after merges (debounced) and on eviction, and
 rebuilds sessions from them on server restart or when an evicted tenant
-comes back: the stored posterior becomes the revived session's prior, which
-reproduces every marginal to within float-serialisation exactness.
+comes back: the stored posterior becomes the revived session's prior, float
+for float (JSON round-trips every float, and the restore does not
+renormalise).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from repro.orchestration.journal import atomic_write_json, read_json
 from repro.service.api import (
     UnknownSessionError,
     ValidationFailedError,
+    _decode_distribution,
     decode_channel,
-    decode_distribution,
     encode_channel,
     encode_distribution,
 )
@@ -107,8 +108,13 @@ class SessionSnapshotStore:
 
 
 def decode_snapshot(payload: Dict[str, Any]) -> "tuple[Any, ChannelModel]":
-    """The (distribution, channel) pair a snapshot rebuilds a session from."""
+    """The (distribution, channel) pair a snapshot rebuilds a session from.
+
+    The posterior is restored verbatim, not renormalised: its floats are
+    the evicted engine's, so the revived session scores and merges as the
+    evicted one would have.
+    """
     return (
-        decode_distribution(payload["posterior"]),
+        _decode_distribution(payload["posterior"], normalise=False),
         decode_channel(payload["channel"]),
     )

@@ -13,7 +13,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
@@ -58,6 +58,10 @@ class SessionRecord:
     dirty: bool = False
     #: ``time.monotonic()`` of the last snapshot write (debounce anchor).
     last_snapshot_at: float = 0.0
+    #: Executor futures of selects and posterior builds abandoned at their
+    #: deadline and still running: a merge writes the posterior in place, so
+    #: it waits for them first.
+    abandoned_reads: "Set[Any]" = field(default_factory=set)
 
     @property
     def remaining(self) -> int:

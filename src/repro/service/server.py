@@ -567,6 +567,10 @@ class RefinementService:
         executor before the merge is answered.
         """
         self._validate_answers(record, answers)
+        if record.abandoned_reads:
+            # A select or posterior build abandoned at its deadline may still
+            # be reading the vector this merge writes in place.
+            await asyncio.wait(set(record.abandoned_reads))
         record.charge(len(answers))
         session = record.session
 
@@ -675,20 +679,28 @@ class RefinementService:
         """
         if self._runs_inline(record, kind, size):
             return call()
-        return await self._hop(call, job, kind)
+        return await self._hop(call, job, kind, record)
 
     async def _write_snapshot(self, record: SessionRecord) -> None:
         """Write ``record``'s snapshot on the executor (never on the loop)."""
         await self._hop(lambda: self._registry.snapshot(record), None, "snapshot")
 
-    async def _hop(self, call, job: Optional[_Job], kind: str):
+    async def _hop(
+        self,
+        call,
+        job: Optional[_Job],
+        kind: str,
+        record: Optional[SessionRecord] = None,
+    ):
         """Run ``call`` on the executor, bounded by the job's deadline.
 
         Deadlines are only given for *read-only* work (selection scans,
         posterior builds): on timeout the executor thread finishes on its own
         and its result is discarded — no cache is written, no session state
         has changed, so the raised :class:`DeadlineExceededError` is honestly
-        retry-safe.  Merges and snapshot writes hop without one.
+        retry-safe.  The abandoned future is kept on ``record`` until it
+        finishes, and the session's next merge waits for it.  Merges and
+        snapshot writes hop without a deadline.
         """
         loop = asyncio.get_running_loop()
         remaining = job.remaining() if job is not None else None
@@ -704,6 +716,9 @@ class RefinementService:
             future.add_done_callback(
                 lambda f: f.cancelled() or f.exception()
             )
+            if record is not None:
+                record.abandoned_reads.add(future)
+                future.add_done_callback(record.abandoned_reads.discard)
             self._metrics.deadline_hits += 1
             raise DeadlineExceededError(
                 f"{kind} deadline expired mid-computation; the result was "

@@ -248,9 +248,15 @@ class TestEngineReweight:
         engine = EntropyEngine(dist, CrowdModel(0.8))
         engine.weighted_bits("a")
         before = engine.probabilities.copy()
-        for reweight in (engine.reweight, engine._reweight_owned):
+        zeros = np.zeros(dist.support_size)
+        for reweight in (
+            engine.reweight,
+            lambda weights: engine._reweight_blocks(
+                0.0, lambda start, stop, _out, _scratch: weights[start:stop]
+            ),
+        ):
             with pytest.raises(SelectionError, match="all probability mass"):
-                reweight(np.zeros(dist.support_size))
+                reweight(zeros)
             assert np.array_equal(engine.probabilities, before)
             assert engine.reweights == 0
             assert "a" in engine._weighted_bits

@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from repro.core.assignment import project_mask
 from repro.core.bitplanes import (
     pack_masks,
-    plane_bit_column,
     plane_count,
     project_planes,
     unpack_planes,
 )
-from repro.core.entropy import bit_column, project_columns
+from repro.core.entropy import _BIT_COLUMN_BLOCK, bit_column, project_columns
 
 
 @st.composite
@@ -138,10 +137,9 @@ class TestPackedEquivalence:
         planes = pack_masks(rows, num_facts)
         for position in sorted({0, 63 % num_facts, num_facts - 1}):
             expected = [(mask >> position) & 1 for mask in rows]
-            column = plane_bit_column(planes, position)
+            column = bit_column(planes, position)
             assert column.dtype == np.int8
             assert column.tolist() == expected
-            assert bit_column(planes, position).tolist() == expected
 
     def test_project_planes_empty_positions(self):
         planes = pack_masks([5, 9], 70)
@@ -154,6 +152,24 @@ class TestPackedEquivalence:
         assert bit_column(masks, 1).tolist() == [0, 1]
         assert bit_column(masks, 2).tolist() == [1, 0]
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * _BIT_COLUMN_BLOCK + 5])
+    def test_bit_column_by_blocks(self, extra):
+        """The column is shifted block by block; every block's bits agree."""
+        rows = _BIT_COLUMN_BLOCK + extra
+        rng = np.random.default_rng(rows)
+        masks = rng.integers(0, 1 << 62, size=rows, dtype=np.int64)
+        planes = rng.integers(0, 1 << 62, size=(rows, 2), dtype=np.int64).view(np.uint64)
+        for position in (0, 7, 40, 61):
+            column = bit_column(masks, position)
+            assert column.dtype == np.int8
+            assert np.array_equal(column, ((masks >> position) & 1).astype(np.int8))
+        for position in (0, 63, 64, 127):
+            column = bit_column(planes, position)
+            assert column.dtype == np.int8
+            word, shift = planes[:, position >> 6], np.uint64(position & 63)
+            expected = ((word >> shift) & np.uint64(1)).astype(np.int8)
+            assert np.array_equal(column, expected)
+
 
 class TestValidation:
     def test_pack_rejects_nonpositive_width(self):
@@ -163,4 +179,4 @@ class TestValidation:
     def test_bit_column_rejects_out_of_range_position(self):
         planes = pack_masks([1], 64)
         with pytest.raises(IndexError):
-            plane_bit_column(planes, 64)
+            bit_column(planes, 64)

@@ -13,10 +13,13 @@ deadline failure is a typed :class:`DeadlineExceededError` whose
 """
 
 import asyncio
+import time
 
 import pytest
 
 from repro.core.crowd import CrowdModel
+from repro.core.selection import RefinementSession
+from repro.core.selection.engine import EntropyEngine
 from repro.service import DeadlineExceededError, RefinementService, server
 from repro.service.api import (
     ServiceError,
@@ -84,6 +87,53 @@ def test_select_deadline_expires_mid_computation_without_writing_the_cache(
         assert reply.task_ids
         again = await service.select_next(created.session_id)
         assert again.cached and again.task_ids == reply.task_ids
+
+    run(_with_service(scenario))
+
+
+def test_a_merge_waits_for_a_scan_abandoned_at_its_deadline(monkeypatch):
+    """A merge writes the posterior in place, so no abandoned scan may read it."""
+    monkeypatch.setattr(server, "_INLINE_WORK", 0)
+    scanning = []
+    scans_seen_by_merges = []
+    stalls = [0.4]
+    scan, merge = EntropyEngine.scan, RefinementSession.merge
+
+    def stalled_scan(engine, state, fact_ids):
+        scanning.append(engine)
+        try:
+            if stalls:
+                time.sleep(stalls.pop())
+            return scan(engine, state, fact_ids)
+        finally:
+            scanning.remove(engine)
+
+    def spied_merge(session, answers):
+        scans_seen_by_merges.append(len(scanning))
+        return merge(session, answers)
+
+    monkeypatch.setattr(EntropyEngine, "scan", stalled_scan)
+    monkeypatch.setattr(RefinementSession, "merge", spied_merge)
+
+    async def scenario(service):
+        prior = dense_distribution(6, 48, seed=45)
+        crowd = CrowdModel(0.8)
+        timed = (await service.create_session(prior, crowd, budget=12)).session_id
+        twin = (await service.create_session(prior, crowd, budget=12)).session_id
+        with pytest.raises(DeadlineExceededError):
+            await service.select_next(timed, deadline_ms=50)
+        assert scanning  # the abandoned scan is still running
+        answers = {prior.fact_ids[0]: True, prior.fact_ids[2]: False}
+        for session_id in (timed, twin):
+            await service.post_answers(session_id, answers)
+        assert scans_seen_by_merges == [0, 0]
+
+        # The session whose scan timed out refines exactly as its twin.
+        selected = [await service.select_next(s) for s in (timed, twin)]
+        assert selected[0].task_ids == selected[1].task_ids
+        assert selected[0].objective.hex() == selected[1].objective.hex()
+        posteriors = [await service.get_posterior(s) for s in (timed, twin)]
+        assert posteriors[0].support == posteriors[1].support
 
     run(_with_service(scenario))
 

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.selection import RefinementSession
 from repro.service import RefinementService, persistence
@@ -614,3 +615,60 @@ class TestSnapshotStore:
             store.delete(session_id)
         with pytest.raises(UnknownSessionError):
             store.exists(session_id)
+
+
+class TestSnapshotFloats:
+    """A snapshot carries the engine's exact floats.
+
+    The materialised posterior is the engine's vector, not renormalised, and
+    a revive restores it verbatim.  While no row has lost all its mass
+    (every accuracy below 1), the revived engine therefore holds the same
+    rows and floats as the evicted one, and goes on exactly as a twin that
+    was never evicted.
+    """
+
+    @staticmethod
+    def scripted(task_ids, round_index):
+        return {
+            fact_id: (round_index + position) % 2 == 0
+            for position, fact_id in enumerate(task_ids)
+        }
+
+    def step(self, session, selector, round_index):
+        result = session.select(selector, 2)
+        session.merge(AnswerSet.from_mapping(self.scripted(result.task_ids, round_index)))
+        return result.task_ids, result.objective.hex()
+
+    @pytest.mark.parametrize(
+        "channel",
+        [CrowdModel(0.8), PerFactChannelModel(0.75, {"f1": 0.9, "f4": 0.65})],
+        ids=["uniform", "per_fact"],
+    )
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_revived_session_goes_on_as_its_twin(self, tmp_path, channel, seed):
+        prior = dense_distribution(10, 300, seed=seed)
+        registry = SessionRegistry(snapshot_dir=str(tmp_path / "state"))
+        record = registry.create(prior, channel, budget=100, selector="greedy")
+        twin = RefinementSession(prior, channel)
+        selector = record.selector
+        for round_index in range(2):
+            assert self.step(record.session, selector, round_index) == self.step(
+                twin, selector, round_index
+            )
+        posterior = record.session.distribution.support_arrays()[1]
+        assert posterior.tobytes() == record.session.engine.probabilities.tobytes()
+        registry.snapshot(record)
+        registry.evict(record.session_id)
+        revived = registry.install(
+            record.session_id, registry.load_stored(record.session_id)
+        ).session
+        assert revived.rounds_merged == 2
+        assert revived.engine.probabilities.tobytes() == twin.engine.probabilities.tobytes()
+        for round_index in range(2, 5):
+            assert self.step(revived, selector, round_index) == self.step(
+                twin, selector, round_index
+            )
+            assert (
+                revived.engine.probabilities.tobytes()
+                == twin.engine.probabilities.tobytes()
+            )
